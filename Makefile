@@ -4,32 +4,48 @@
 # the perf contract on the hot paths: 0 allocs/op for encode, the
 # scratch entry points, the clean and corrected decodes (SSC, DEC,
 # BF+BF, batched tile), and the decodes with a journal subscriber or a
-# latency probe attached; absolute latency ceilings on the
-# candidate-free fast path (clean decode <= 250 ns/op, corrected SSC
-# <= 400 ns/op, encode <= 200 ns/op); metrics attachment within 1.25x
-# of the bare clean decode and the other attached-path variants within
-# 3x of their bare counterparts; every latency-gated scenario within
-# -gate-tolerance of the committed BENCH_decode.json baseline; and the
-# remainder->hint tables within their 4 MiB per-codec budget.
+# latency probe attached, the wire transpose and poly-m2005's clean
+# registry decode; absolute latency ceilings on the candidate-free fast
+# path (clean decode <= 250 ns/op, corrected SSC <= 400 ns/op, encode
+# <= 200 ns/op) and on the wire and registry paths (wire/from-burst
+# <= 300 ns/op, codec/poly-m2005/decode-clean <= 1200 ns/op); metrics attachment
+# within 1.25x of the bare clean decode and the other attached-path
+# variants within 3x of their bare counterparts; every latency-gated
+# scenario within -gate-tolerance of the committed BENCH_decode.json
+# baseline; and the remainder->hint tables within their 4 MiB per-codec
+# budget.
 # `make fastpath-smoke` proves the fast path bit-identical to the
 # legacy enumeration (differential tables, decode equivalence, golden
-# vectors). `make bench-compare OLD=old.json` prints the before/after
-# table for a perf PR.
+# vectors), the packed hint tables bucket-identical to the map builder,
+# and the word-parallel wire layer bit-identical to the bitwise oracle.
+# `make fmt-check` fails on any file gofmt would change.
+# `make bench-compare OLD=old.json` prints the before/after table for a
+# perf PR.
 
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-snapshot bench-history bench-gate bench-compare fastpath-smoke smoke-campaign scrub-smoke report-smoke scenario-smoke health-smoke heal-smoke latency-smoke
+.PHONY: ci fmt-check build vet test race bench bench-snapshot bench-history bench-gate bench-compare fastpath-smoke smoke-campaign scrub-smoke report-smoke scenario-smoke health-smoke heal-smoke latency-smoke
 
-ci: vet build race fastpath-smoke smoke-campaign scrub-smoke bench-gate report-smoke scenario-smoke health-smoke heal-smoke latency-smoke
+ci: fmt-check vet build race fastpath-smoke smoke-campaign scrub-smoke bench-gate report-smoke scenario-smoke health-smoke heal-smoke latency-smoke
 
 # Differential proof that the candidate-free fast path (remainder->hint
 # tables + incremental MAC) decodes bit-identically to the legacy
 # enumeration: per-remainder candidate-list equality, randomized decode
 # equivalence, incremental-MAC algebra, and the pinned golden vectors.
+# The packed DEC/BF+BF hint tables are checked bucket by bucket against
+# the map builder they replaced, and the word-parallel wire views are
+# fuzzed against the bitwise oracle for every accepted geometry.
 fastpath-smoke:
-	$(GO) test ./internal/poly -run 'TestHintTableDifferential|TestChipKillPlus1Differential|TestFastDecodeEquivalence|TestHintTableBytes|TestGoldenVectors' -count=1
+	$(GO) test ./internal/poly -run 'TestHintTableDifferential|TestChipKillPlus1Differential|TestFastDecodeEquivalence|TestHintTableBytes|TestGoldenVectors|TestHintTablesMatchMapBuilder|TestHintTableDedupe' -count=1
 	$(GO) test ./internal/mac -run 'TestSumSave|TestSumFrom' -count=1
-	@echo "fastpath-smoke: hint tables and incremental MAC match enumeration"
+	$(GO) test ./internal/dram -run 'TestWireLayoutOracle|TestAcceptedGeometries|FuzzWireLayout' -count=1
+	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzWireLayout$$' -fuzztime 10s
+	@echo "fastpath-smoke: hint tables, incremental MAC and wire layout match their oracles"
+
+# Formatting gate: gofmt must have nothing to say about the tree.
+fmt-check:
+	@out=`gofmt -l .`; if [ -n "$$out" ]; then echo "fmt-check: gofmt -l . lists:" >&2; echo "$$out" >&2; exit 1; fi
+	@echo "fmt-check: gofmt clean"
 
 build:
 	$(GO) build ./...

@@ -12,6 +12,7 @@
 package dram
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"polyecc/internal/wideint"
@@ -93,7 +94,8 @@ func DeviceOfPin(pin int) int { return pin / PinsPerDevice }
 // WordGeometry describes a symbol-folded codeword view: symbolBits bits
 // per device gathered across symbolBits/PinsPerDevice consecutive beats.
 // The 8-bit-symbol view yields eight 80-bit codewords per burst; the
-// 16-bit view yields four 160-bit codewords (§VIII-A).
+// 16-bit view yields four 160-bit codewords (§VIII-A); the 4-bit view is
+// one beat per codeword.
 type WordGeometry struct {
 	SymbolBits int
 }
@@ -107,66 +109,152 @@ func (g WordGeometry) WordsPerBurst() int { return Beats / g.BeatsPerWord() }
 // WordBits returns the codeword width in bits.
 func (g WordGeometry) WordBits() int { return Devices * g.SymbolBits }
 
-// Validate checks the geometry is one the channel supports.
+// Validate checks the geometry is one the channel supports: whole beats
+// per symbol, whole codewords per burst, and a codeword that fits the
+// 192-bit integer Word returns. That leaves 4-, 8- and 16-bit symbols.
 func (g WordGeometry) Validate() error {
-	if g.SymbolBits%PinsPerDevice != 0 || g.SymbolBits <= 0 || Beats%g.BeatsPerWord() != 0 {
+	if g.SymbolBits%PinsPerDevice != 0 || g.SymbolBits <= 0 || Beats%g.BeatsPerWord() != 0 ||
+		g.WordBits() > 192 {
 		return fmt.Errorf("dram: unsupported symbol width %d", g.SymbolBits)
 	}
 	return nil
 }
 
-// wireCoord maps bit i of codeword w to its (beat, pin) wire coordinate:
-// symbol s = device s, filled beat-major (Figure 2(b): an 8-bit symbol
-// holds two beats of one x4 device).
-func (g WordGeometry) wireCoord(w, i int) (beat, pin int) {
-	s := i / g.SymbolBits
-	k := i % g.SymbolBits
-	beat = w*g.BeatsPerWord() + k/PinsPerDevice
-	pin = s*PinsPerDevice + k%PinsPerDevice
-	return
+// beatBytes is the size of one beat on the wire. A beat is the 40 pins
+// of one transfer, so it fills exactly five burst bytes: pin p of beat t
+// is bit p of the little-endian 40-bit value at bytes [5t, 5t+5), and
+// device d's nibble is bits [4d, 4d+4) of it. Every view below is a
+// shuffle of whole beats.
+const beatBytes = Pins / 8
+
+// beat returns beat t's 40 wire bits, pin p at bit p.
+func (b *Burst) beat(t int) uint64 {
+	i := beatBytes * t
+	return uint64(binary.LittleEndian.Uint32(b[i:])) | uint64(b[i+4])<<32
+}
+
+// setBeat stores the low 40 bits of v as beat t.
+func (b *Burst) setBeat(t int, v uint64) {
+	i := beatBytes * t
+	binary.LittleEndian.PutUint32(b[i:], uint32(v))
+	b[i+4] = byte(v >> 32)
+}
+
+// spread4 moves nibble i of the low 32 bits of x to the low half of byte
+// i; compact4 is its inverse, reading the low nibble of every byte.
+func spread4(x uint64) uint64 {
+	x &= 0xffffffff
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	return (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+}
+
+func compact4(x uint64) uint64 {
+	x &= 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0xffffffff
+}
+
+// spread8 moves byte i of the low 32 bits of x to the low half of 16-bit
+// lane i; compact8 is its inverse.
+func spread8(x uint64) uint64 {
+	x &= 0xffffffff
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	return (x | x<<8) & 0x00ff00ff00ff00ff
+}
+
+func compact8(x uint64) uint64 {
+	x &= 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0xffffffff
+}
+
+// zipNibbles interleaves two beats device by device: byte d of the
+// 80-bit result (lo holds bytes 0..7, hi bytes 8..9) is device d's
+// nibble of x below its nibble of y — an 8-bit symbol.
+func zipNibbles(x, y uint64) (lo, hi uint64) {
+	lo = spread4(x) | spread4(y)<<4
+	hi = spread4(x>>32) | spread4(y>>32)<<4
+	return lo, hi
+}
+
+// unzipNibbles inverts zipNibbles.
+func unzipNibbles(lo, hi uint64) (x, y uint64) {
+	x = compact4(lo) | compact4(hi)<<32
+	y = compact4(lo>>4) | compact4(hi>>4)<<32
+	return x, y
 }
 
 // Word extracts codeword w of the burst as an integer whose bit layout
-// places symbol s at bit offset s*SymbolBits.
+// places symbol s at bit offset s*SymbolBits. Symbol s is device s's
+// nibbles across the codeword's beats, first beat lowest (Figure 2(b):
+// an 8-bit symbol holds two beats of one x4 device).
 func (g WordGeometry) Word(b *Burst, w int) wideint.U192 {
-	var u wideint.U192
-	for i := 0; i < g.WordBits(); i++ {
-		beat, pin := g.wireCoord(w, i)
-		if b.Bit(beat, pin) != 0 {
-			u = u.SetBit(i, 1)
+	switch g.SymbolBits {
+	case 4:
+		return wideint.U192{W0: b.beat(w)}
+	case 8:
+		lo, hi := zipNibbles(b.beat(2*w), b.beat(2*w+1))
+		return wideint.U192{W0: lo, W1: hi}
+	case 16:
+		// Two 8-bit-symbol halves, byte-interleaved symbol by symbol.
+		p0, p1 := zipNibbles(b.beat(4*w), b.beat(4*w+1))
+		q0, q1 := zipNibbles(b.beat(4*w+2), b.beat(4*w+3))
+		return wideint.U192{
+			W0: spread8(p0) | spread8(q0)<<8,
+			W1: spread8(p0>>32) | spread8(q0>>32)<<8,
+			W2: spread8(p1) | spread8(q1)<<8,
 		}
 	}
-	return u
+	panic(fmt.Sprintf("dram: unsupported symbol width %d", g.SymbolBits))
 }
 
-// SetWord stores an integer codeword back into the burst.
+// SetWord stores an integer codeword back into the burst. Bits of u at
+// or above WordBits are ignored.
 func (g WordGeometry) SetWord(b *Burst, w int, u wideint.U192) {
-	for i := 0; i < g.WordBits(); i++ {
-		beat, pin := g.wireCoord(w, i)
-		b.SetBit(beat, pin, u.Bit(i))
+	switch g.SymbolBits {
+	case 4:
+		b.setBeat(w, u.W0)
+	case 8:
+		x, y := unzipNibbles(u.W0, u.W1)
+		b.setBeat(2*w, x)
+		b.setBeat(2*w+1, y)
+	case 16:
+		p0 := compact8(u.W0) | compact8(u.W1)<<32
+		q0 := compact8(u.W0>>8) | compact8(u.W1>>8)<<32
+		x0, x1 := unzipNibbles(p0, compact8(u.W2))
+		x2, x3 := unzipNibbles(q0, compact8(u.W2>>8))
+		b.setBeat(4*w, x0)
+		b.setBeat(4*w+1, x1)
+		b.setBeat(4*w+2, x2)
+		b.setBeat(4*w+3, x3)
+	default:
+		panic(fmt.Sprintf("dram: unsupported symbol width %d", g.SymbolBits))
 	}
 }
 
-// WordBytes extracts codeword w as a byte slice in symbol order; for the
-// 8-bit-symbol view this is the 10-symbol slice the SDDC Reed-Solomon and
-// Unity decoders consume (symbol s = device s).
-func (g WordGeometry) WordBytes(b *Burst, w int) []byte {
+// WordBytes fills dst[:WordBits/8] with codeword w in little-endian
+// byte order; for the 8-bit-symbol view byte s is symbol s, the
+// 10-symbol codeword the SDDC Reed-Solomon and Unity decoders consume.
+func (g WordGeometry) WordBytes(b *Burst, w int, dst []byte) {
 	u := g.Word(b, w)
-	nBytes := g.WordBits() / 8
-	out := make([]byte, nBytes)
-	for i := range out {
-		out[i] = byte(u.Field(8*i, 8))
-	}
-	return out
+	var buf [24]byte
+	binary.LittleEndian.PutUint64(buf[0:], u.W0)
+	binary.LittleEndian.PutUint64(buf[8:], u.W1)
+	binary.LittleEndian.PutUint64(buf[16:], u.W2)
+	copy(dst[:g.WordBits()/8], buf[:])
 }
 
-// SetWordBytes stores a byte-sliced codeword back into the burst.
-func (g WordGeometry) SetWordBytes(b *Burst, w int, bytes []byte) {
-	var u wideint.U192
-	for i, v := range bytes {
-		u = u.WithField(8*i, 8, uint64(v))
-	}
-	g.SetWord(b, w, u)
+// SetWordBytes stores a codeword given as WordBytes lays it out.
+func (g WordGeometry) SetWordBytes(b *Burst, w int, src []byte) {
+	var buf [24]byte
+	copy(buf[:], src[:g.WordBits()/8])
+	g.SetWord(b, w, wideint.U192{
+		W0: binary.LittleEndian.Uint64(buf[0:]),
+		W1: binary.LittleEndian.Uint64(buf[8:]),
+		W2: binary.LittleEndian.Uint64(buf[16:]),
+	})
 }
 
 // --- Bamboo (pin-aligned) view -------------------------------------------
@@ -179,25 +267,39 @@ const BambooWordsPerBurst = 2
 // BambooBeats is the number of beats one Bamboo codeword spans.
 const BambooBeats = Beats / BambooWordsPerBurst
 
-// BambooWord extracts pin-aligned codeword h (0 or 1): 40 symbols, symbol
-// p gathering pin p across the 8 beats of that half.
-func BambooWord(b *Burst, h int) []byte {
-	out := make([]byte, Pins)
-	for p := 0; p < Pins; p++ {
-		var v byte
+// transpose8 transposes the 8×8 bit matrix whose row r is byte r of x:
+// bit c of row r moves to bit r of row c (Hacker's Delight §7-3).
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00aa00aa00aa00aa
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000cccc0000cccc
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000f0f0f0f0
+	return x ^ t ^ t<<28
+}
+
+// BambooWord fills dst with pin-aligned codeword h (0 or 1): symbol p
+// gathers pin p across the 8 beats of that half, first beat lowest. Byte
+// j of a beat is pins [8j, 8j+8), so each of the five byte columns of the
+// half's 8 beats is one 8×8 bit transpose.
+func BambooWord(b *Burst, h int, dst *[Pins]byte) {
+	base := beatBytes * BambooBeats * h
+	for j := 0; j < beatBytes; j++ {
+		var x uint64
 		for k := 0; k < BambooBeats; k++ {
-			v |= byte(b.Bit(h*BambooBeats+k, p)) << uint(k)
+			x |= uint64(b[base+beatBytes*k+j]) << (8 * k)
 		}
-		out[p] = v
+		binary.LittleEndian.PutUint64(dst[8*j:], transpose8(x))
 	}
-	return out
 }
 
 // SetBambooWord stores a pin-aligned codeword back into the burst.
-func SetBambooWord(b *Burst, h int, sym []byte) {
-	for p := 0; p < Pins; p++ {
+func SetBambooWord(b *Burst, h int, sym *[Pins]byte) {
+	base := beatBytes * BambooBeats * h
+	for j := 0; j < beatBytes; j++ {
+		x := transpose8(binary.LittleEndian.Uint64(sym[8*j:]))
 		for k := 0; k < BambooBeats; k++ {
-			b.SetBit(h*BambooBeats+k, p, uint(sym[p]>>uint(k))&1)
+			b[base+beatBytes*k+j] = byte(x >> (8 * k))
 		}
 	}
 }

@@ -60,7 +60,9 @@ func TestWordGeometryValidate(t *testing.T) {
 	if err := (WordGeometry{SymbolBits: 16}).Validate(); err != nil {
 		t.Error(err)
 	}
-	for _, s := range []int{0, 3, 5, 7} {
+	// 32- and 64-bit symbols tile the burst, but their 320- and 640-bit
+	// codewords do not fit the 192-bit integer Word returns.
+	for _, s := range []int{0, 3, 5, 7, 32, 64} {
 		if err := (WordGeometry{SymbolBits: s}).Validate(); err == nil {
 			t.Errorf("symbol width %d should be invalid", s)
 		}
@@ -177,18 +179,25 @@ func TestWordBytesRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := WordGeometry{SymbolBits: 8}
 	b := randBurst(r)
+	orig := b
 	for w := 0; w < g.WordsPerBurst(); w++ {
-		bytes := g.WordBytes(&b, w)
-		if len(bytes) != 10 {
-			t.Fatalf("WordBytes length %d", len(bytes))
-		}
-		g.SetWordBytes(&b, w, bytes)
-		got := g.WordBytes(&b, w)
-		for i := range bytes {
-			if got[i] != bytes[i] {
-				t.Fatal("WordBytes round trip failed")
+		var bytes, got [Devices]byte
+		g.WordBytes(&b, w, bytes[:])
+		// Byte s is symbol s of the integer view.
+		u := g.Word(&b, w)
+		for s := range bytes {
+			if uint64(bytes[s]) != u.Field(8*s, 8) {
+				t.Fatalf("word %d: byte %d = %#x, symbol %#x", w, s, bytes[s], u.Field(8*s, 8))
 			}
 		}
+		g.SetWordBytes(&b, w, bytes[:])
+		g.WordBytes(&b, w, got[:])
+		if got != bytes {
+			t.Fatal("WordBytes round trip failed")
+		}
+	}
+	if b != orig {
+		t.Fatal("SetWordBytes of the read bytes changed the burst")
 	}
 }
 
@@ -197,7 +206,9 @@ func TestBambooWordRoundTrip(t *testing.T) {
 	b := randBurst(r)
 	orig := b
 	for h := 0; h < BambooWordsPerBurst; h++ {
-		SetBambooWord(&b, h, BambooWord(&b, h))
+		var sym [Pins]byte
+		BambooWord(&b, h, &sym)
+		SetBambooWord(&b, h, &sym)
 	}
 	if b != orig {
 		t.Fatal("Bamboo round trip failed")
@@ -212,7 +223,8 @@ func TestBambooPinAlignment(t *testing.T) {
 	m := PinMask(13, 0, Beats)
 	b.Xor(&m)
 	for h := 0; h < BambooWordsPerBurst; h++ {
-		sym := BambooWord(&b, h)
+		var sym [Pins]byte
+		BambooWord(&b, h, &sym)
 		for p := 0; p < Pins; p++ {
 			if (p == 13) != (sym[p] != 0) {
 				t.Fatalf("half %d: pin fault misaligned at symbol %d", h, p)
@@ -230,7 +242,8 @@ func TestBambooPinAlignment(t *testing.T) {
 	}
 	dm := DeviceMask(3, 0, Beats, patterns)
 	b2.Xor(&dm)
-	sym := BambooWord(&b2, 0)
+	var sym [Pins]byte
+	BambooWord(&b2, 0, &sym)
 	n := 0
 	for _, v := range sym {
 		if v != 0 {

@@ -2,7 +2,9 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Module models one rank of a DDR5 sub-channel as an addressable array of
@@ -12,25 +14,23 @@ import (
 // failure taxonomy of §II-B — IO faults manifest on every access, array
 // faults only where they live.
 type Module struct {
-	lines     []Burst
-	stuckPins map[int]uint // pin -> polarity
-	deadDevs  map[int]bool
-	weakCells map[cellAddr]bool
-	junk      uint64 // LFSR state for dead-device reads
-}
-
-type cellAddr struct {
-	line, beat, pin int
+	lines []Burst
+	// stuck and stuckHigh are 40-bit pin masks over a beat: the stuck
+	// pins, and which of them are stuck at 1.
+	stuck, stuckHigh uint64
+	dead             [Devices]bool
+	// weak indexes the weak cells by line, each cell a BitIndex, so a
+	// read or a rewrite touches only its own line's cells.
+	weak map[int][]uint16
+	junk uint64 // LFSR state for dead-device reads
 }
 
 // NewModule allocates a module holding the given number of bursts.
 func NewModule(lines int) *Module {
 	return &Module{
-		lines:     make([]Burst, lines),
-		stuckPins: make(map[int]uint),
-		deadDevs:  make(map[int]bool),
-		weakCells: make(map[cellAddr]bool),
-		junk:      0x9e3779b97f4a7c15,
+		lines: make([]Burst, lines),
+		weak:  make(map[int][]uint16),
+		junk:  0x9e3779b97f4a7c15,
 	}
 }
 
@@ -47,28 +47,33 @@ func (m *Module) WriteBurst(i int, b Burst) {
 }
 
 // ReadBurst returns the stored burst as the failing hardware would
-// deliver it: weak cells flipped, dead devices replaced with junk, stuck
-// pins forced to their polarity on every beat.
+// deliver it: weak cells flipped, dead devices replaced with junk (drawn
+// device by device in index order, beat-major, pin-minor), stuck pins
+// forced to their polarity on every beat.
 func (m *Module) ReadBurst(i int) Burst {
 	b := m.lines[i]
-	for cell := range m.weakCells {
-		if cell.line == i {
-			b.FlipBit(cell.beat, cell.pin)
-		}
+	for _, bit := range m.weak[i] {
+		b[bit/8] ^= 1 << (bit % 8)
 	}
-	for dev := range m.deadDevs {
-		for beat := 0; beat < Beats; beat++ {
+	for dev, dead := range m.dead {
+		if !dead {
+			continue
+		}
+		sh := uint(dev * PinsPerDevice)
+		for t := 0; t < Beats; t++ {
+			var nib uint64
 			for p := 0; p < PinsPerDevice; p++ {
 				m.junk ^= m.junk << 13
 				m.junk ^= m.junk >> 7
 				m.junk ^= m.junk << 17
-				b.SetBit(beat, dev*PinsPerDevice+p, uint(m.junk)&1)
+				nib |= (m.junk & 1) << p
 			}
+			b.setBeat(t, b.beat(t)&^(0xf<<sh)|nib<<sh)
 		}
 	}
-	for pin, polarity := range m.stuckPins {
-		for beat := 0; beat < Beats; beat++ {
-			b.SetBit(beat, pin, polarity)
+	if m.stuck != 0 {
+		for t := 0; t < Beats; t++ {
+			b.setBeat(t, b.beat(t)&^m.stuck|m.stuckHigh)
 		}
 	}
 	return b
@@ -79,24 +84,34 @@ func (m *Module) AddStuckPin(pin int, polarity uint) error {
 	if pin < 0 || pin >= Pins {
 		return fmt.Errorf("dram: pin %d out of range", pin)
 	}
-	m.stuckPins[pin] = polarity & 1
+	m.stuck |= 1 << pin
+	m.stuckHigh = m.stuckHigh&^(1<<pin) | uint64(polarity&1)<<pin
 	return nil
 }
 
 // ClearStuckPin removes a stuck-pin fault (e.g. after a repair action).
-func (m *Module) ClearStuckPin(pin int) { delete(m.stuckPins, pin) }
+func (m *Module) ClearStuckPin(pin int) {
+	if pin >= 0 && pin < Pins {
+		m.stuck &^= 1 << pin
+		m.stuckHigh &^= 1 << pin
+	}
+}
 
 // KillDevice marks a whole device as failed.
 func (m *Module) KillDevice(dev int) error {
 	if dev < 0 || dev >= Devices {
 		return fmt.Errorf("dram: device %d out of range", dev)
 	}
-	m.deadDevs[dev] = true
+	m.dead[dev] = true
 	return nil
 }
 
 // ReviveDevice clears a device failure (a replaced DIMM in the model).
-func (m *Module) ReviveDevice(dev int) { delete(m.deadDevs, dev) }
+func (m *Module) ReviveDevice(dev int) {
+	if dev >= 0 && dev < Devices {
+		m.dead[dev] = false
+	}
+}
 
 // AddWeakCell registers a latched single-bit array flip: the stored bit
 // reads inverted until the line is rewritten.
@@ -104,22 +119,28 @@ func (m *Module) AddWeakCell(line, beat, pin int) error {
 	if line < 0 || line >= len(m.lines) || beat < 0 || beat >= Beats || pin < 0 || pin >= Pins {
 		return fmt.Errorf("dram: cell (%d,%d,%d) out of range", line, beat, pin)
 	}
-	m.weakCells[cellAddr{line, beat, pin}] = true
+	bit := uint16(BitIndex(beat, pin))
+	cells := m.weak[line]
+	if !slices.Contains(cells, bit) {
+		m.weak[line] = append(cells, bit)
+	}
 	return nil
 }
 
 // HealLine clears every latched flip on one line (a rewrite).
-func (m *Module) HealLine(line int) {
-	for cell := range m.weakCells {
-		if cell.line == line {
-			delete(m.weakCells, cell)
-		}
-	}
-}
+func (m *Module) HealLine(line int) { delete(m.weak, line) }
 
 // FaultCounts summarizes the active fault state.
 func (m *Module) FaultCounts() (stuckPins, deadDevices, weakCells int) {
-	return len(m.stuckPins), len(m.deadDevs), len(m.weakCells)
+	for _, dead := range m.dead {
+		if dead {
+			deadDevices++
+		}
+	}
+	for _, cells := range m.weak {
+		weakCells += len(cells)
+	}
+	return bits.OnesCount64(m.stuck), deadDevices, weakCells
 }
 
 // Hammer models a rowhammer episode: each aggressor activation flips a

@@ -99,6 +99,101 @@ func TestDeadDeviceReturnsJunk(t *testing.T) {
 	}
 }
 
+// Dead-device junk is drawn device by device in index order, so
+// identically built modules with several dead devices read identical
+// bursts.
+func TestDeadDevicesReadDeterministically(t *testing.T) {
+	build := func() Burst {
+		m := NewModule(1)
+		for _, dev := range []int{7, 2, 5} {
+			if err := m.KillDevice(dev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m.ReadBurst(0)
+	}
+	want := build()
+	for i := 0; i < 200; i++ {
+		if got := build(); got != want {
+			t.Fatalf("build %d: identically built modules read different bursts", i)
+		}
+	}
+	// One dead device draws the stream in beat-major, pin-minor order.
+	m := NewModule(1)
+	_ = m.KillDevice(3)
+	got := m.ReadBurst(0)
+	junk := uint64(0x9e3779b97f4a7c15)
+	for beat := 0; beat < Beats; beat++ {
+		for p := 0; p < PinsPerDevice; p++ {
+			junk ^= junk << 13
+			junk ^= junk >> 7
+			junk ^= junk << 17
+			if got.Bit(beat, 3*PinsPerDevice+p) != uint(junk)&1 {
+				t.Fatalf("beat %d pin %d: junk out of stream order", beat, p)
+			}
+		}
+	}
+}
+
+// Weak cells are indexed by line: reads and rewrites of one line leave
+// the others' cells alone, and re-adding a cell does not double it.
+func TestWeakCellsPerLine(t *testing.T) {
+	m := NewModule(8)
+	for _, c := range [][3]int{{1, 0, 0}, {1, 15, 39}, {6, 7, 20}, {1, 0, 0}} {
+		if err := m.AddWeakCell(c[0], c[1], c[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, wc := m.FaultCounts(); wc != 3 {
+		t.Fatalf("weak cells = %d, want 3 (a repeated cell counts once)", wc)
+	}
+	if b := m.ReadBurst(1); b.OnesCount() != 2 || b.Bit(0, 0) != 1 || b.Bit(15, 39) != 1 {
+		t.Fatal("line 1 does not read its two weak cells")
+	}
+	m.WriteBurst(1, Burst{})
+	if _, _, wc := m.FaultCounts(); wc != 1 {
+		t.Fatalf("weak cells after healing line 1 = %d, want 1", wc)
+	}
+	if b := m.ReadBurst(6); b.OnesCount() != 1 || b.Bit(7, 20) != 1 {
+		t.Fatal("healing line 1 disturbed line 6's weak cell")
+	}
+}
+
+// Stuck pins of both polarities, a dead device and a weak cell compose
+// in the documented order: weak flips, then junk, then stuck pins.
+func TestFaultCompositionOrder(t *testing.T) {
+	m := NewModule(1)
+	var b Burst
+	for beat := 0; beat < Beats; beat++ {
+		b.SetBit(beat, 9, 1)
+	}
+	m.WriteBurst(0, b)
+	_ = m.AddWeakCell(0, 4, 30)
+	_ = m.AddStuckPin(9, 0)
+	_ = m.AddStuckPin(12, 1)
+	_ = m.AddStuckPin(12, 1)
+	_ = m.KillDevice(3) // pins 12..15: junk, then pin 12 forced high
+	got := m.ReadBurst(0)
+	for beat := 0; beat < Beats; beat++ {
+		if got.Bit(beat, 9) != 0 || got.Bit(beat, 12) != 1 {
+			t.Fatalf("beat %d: stuck pins not forced", beat)
+		}
+	}
+	if got.Bit(4, 30) != 1 {
+		t.Fatal("weak cell lost under IO faults on other pins")
+	}
+	if sp, dd, wc := m.FaultCounts(); sp != 2 || dd != 1 || wc != 1 {
+		t.Fatalf("FaultCounts = %d %d %d, want 2 1 1", sp, dd, wc)
+	}
+	m.ClearStuckPin(12)
+	m.ClearStuckPin(-1)
+	m.ClearStuckPin(Pins)
+	m.ReviveDevice(Devices)
+	if sp, _, _ := m.FaultCounts(); sp != 1 {
+		t.Fatalf("stuck pins after clearing one = %d, want 1", sp)
+	}
+}
+
 func TestModuleValidation(t *testing.T) {
 	m := NewModule(2)
 	if err := m.AddStuckPin(40, 1); err == nil {

@@ -116,11 +116,13 @@ func (c *RS) Encode(data *[LineBytes]byte) dram.Burst {
 func (c *RS) Decode(b *dram.Burst) ([LineBytes]byte, Outcome, int) {
 	var data [LineBytes]byte
 	outcome := OK
+	var cw [dram.Devices]byte
 	for w := 0; w < c.geo.WordsPerBurst(); w++ {
-		res, err := c.code.Decode(c.geo.WordBytes(b, w))
+		c.geo.WordBytes(b, w, cw[:])
+		res, err := c.code.Decode(cw[:])
 		if err != nil {
 			outcome = DUE
-			copy(data[8*w:], c.geo.WordBytes(b, w)[:8])
+			copy(data[8*w:], cw[:8])
 			continue
 		}
 		copy(data[8*w:], res.Corrected[:8])
@@ -161,11 +163,13 @@ func (c *Unity) Encode(data *[LineBytes]byte) dram.Burst {
 func (c *Unity) Decode(b *dram.Burst) ([LineBytes]byte, Outcome, int) {
 	var data [LineBytes]byte
 	outcome := OK
+	var cw [dram.Devices]byte
 	for w := 0; w < c.geo.WordsPerBurst(); w++ {
-		res, err := c.code.Decode(c.geo.WordBytes(b, w))
+		c.geo.WordBytes(b, w, cw[:])
+		res, err := c.code.Decode(cw[:])
 		if err != nil {
 			outcome = DUE
-			copy(data[8*w:], c.geo.WordBytes(b, w)[:8])
+			copy(data[8*w:], cw[:8])
 			continue
 		}
 		copy(data[8*w:], res.Corrected[:8])
@@ -198,7 +202,7 @@ func (c *Bamboo) Encode(data *[LineBytes]byte) dram.Burst {
 		if err != nil {
 			panic(err)
 		}
-		dram.SetBambooWord(&b, h, cw)
+		dram.SetBambooWord(&b, h, (*[dram.Pins]byte)(cw))
 	}
 	return b
 }
@@ -207,11 +211,13 @@ func (c *Bamboo) Encode(data *[LineBytes]byte) dram.Burst {
 func (c *Bamboo) Decode(b *dram.Burst) ([LineBytes]byte, Outcome, int) {
 	var data [LineBytes]byte
 	outcome := OK
+	var cw [dram.Pins]byte
 	for h := 0; h < dram.BambooWordsPerBurst; h++ {
-		res, err := c.code.Decode(dram.BambooWord(b, h))
+		dram.BambooWord(b, h, &cw)
+		res, err := c.code.Decode(cw[:])
 		if err != nil {
 			outcome = DUE
-			copy(data[32*h:], dram.BambooWord(b, h)[:32])
+			copy(data[32*h:], cw[:32])
 			continue
 		}
 		copy(data[32*h:], res.Corrected[:32])

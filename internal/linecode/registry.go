@@ -46,11 +46,19 @@ func Register(name, doc string, build func() Code) {
 
 // New constructs the named scheme, or lists what is available.
 func New(name string) (Code, error) {
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("linecode: unknown code %q (registered: %s)", name, strings.Join(names, ", "))
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
-	return e.build(), nil
+	return registry[name].build(), nil
+}
+
+// CheckName returns New's error for a name that is not registered, and
+// nil for one that is, without constructing anything.
+func CheckName(name string) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("linecode: unknown code %q (registered: %s)", name, strings.Join(names, ", "))
+	}
+	return nil
 }
 
 // MustNew is New for names that are known to be registered.

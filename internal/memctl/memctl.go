@@ -177,12 +177,8 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Health.Journal == nil {
 		cfg.Health.Journal = cfg.Journal
 	}
-	known := map[string]bool{}
-	for _, name := range linecode.Names() {
-		known[name] = true
-	}
 	for _, name := range cfg.Codecs {
-		if !known[name] {
+		if linecode.CheckName(name) != nil {
 			return nil, fmt.Errorf("memctl: codec ladder entry %q is not a registered linecode scheme", name)
 		}
 	}

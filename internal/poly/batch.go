@@ -86,7 +86,6 @@ func (c *Code) decodeLineInto(r *Result, l Line, s *Scratch) {
 	r.Data, r.Report = c.DecodeLineScratch(l, s)
 }
 
-
 // FromBurstInto is FromBurst reading into a caller-owned words slice
 // (reused when it has capacity), for batch consumers that keep one Line
 // arena per batch slot instead of borrowing the Scratch's single buffer.

@@ -303,7 +303,7 @@ func (c *Code) bfbfCandidatesAt(dst []correction, s *Scratch, w wideint.U192, re
 		return c.fastBFBFAt(dst, w, rem, devA, devB)
 	}
 	raw := dst
-	for _, h := range c.hints[ModelBFBF][rem] {
+	for _, h := range c.bfbfHints.bucket(rem) {
 		if int(h.symA) != devA || int(h.symB) != devB {
 			continue
 		}
@@ -328,7 +328,7 @@ func (c *Code) bfbfCandidatesAt(dst []correction, s *Scratch, w wideint.U192, re
 // is derived with Eq. 3.
 func (c *Code) pairCandidates(dst []correction, rem uint64, model FaultModel) []correction {
 	out := dst
-	for _, h := range c.hints[model][rem] {
+	for _, h := range c.hints(model).bucket(rem) {
 		dA, ok := c.tab.SolvePair(rem, int(h.symA), int(h.symB), int64(h.deltaB))
 		if !ok {
 			continue
@@ -338,12 +338,98 @@ func (c *Code) pairCandidates(dst []correction, rem uint64, model FaultModel) []
 	return out
 }
 
-// buildDECHints enumerates every cross-symbol double-bit error and files
-// a hint (locations plus second delta) under its remainder. Same-symbol
-// pairs are recoverable from Eq. 2 directly and are not stored.
-func (c *Code) buildDECHints() map[uint64][]pairHint {
+// hintTable is a double-symbol fault model's remainder→hint buckets,
+// stored the way fastTables stores its runs: bucket rem is
+// hints[idx[rem]:idx[rem+1]], one exact-size packed slice for the whole
+// table, each bucket in enumeration order with duplicates removed.
+type hintTable struct {
+	idx   []uint32 // len M+1 prefix offsets into hints
+	hints []pairHint
+}
+
+// bucket returns remainder rem's hints; a nil table has none.
+func (t *hintTable) bucket(rem uint64) []pairHint {
+	if t == nil {
+		return nil
+	}
+	return t.hints[t.idx[rem]:t.idx[rem+1]]
+}
+
+// hints returns a fault model's hint table, nil for the models that
+// derive their candidates purely at runtime.
+func (c *Code) hints(m FaultModel) *hintTable {
+	switch m {
+	case ModelDEC:
+		return c.decHints
+	case ModelBFBF:
+		return c.bfbfHints
+	}
+	return nil
+}
+
+// pairEnumerator calls emit for every hint of a double-symbol fault
+// model, symbol pair (sA<sB) outermost, so the hints of one pair are
+// contiguous within every bucket.
+type pairEnumerator func(emit func(rem uint64, h pairHint))
+
+// buildHintTable files every hint enum produces under its remainder in
+// two passes — count, then fill — and dedupes each bucket in place,
+// keeping first occurrences in order.
+func (c *Code) buildHintTable(enum pairEnumerator) *hintTable {
+	M := c.cfg.M
+	t := &hintTable{idx: make([]uint32, M+1)}
+	// Count bucket rem into idx[rem+2] and prefix-sum, leaving
+	// idx[rem+1] at bucket rem's start; the fill then uses idx[rem+1] as
+	// rem's cursor, which ends at rem's end — the next bucket's start.
+	n := 0
+	enum(func(rem uint64, _ pairHint) {
+		n++
+		if rem+2 <= M {
+			t.idx[rem+2]++
+		}
+	})
+	for i := uint64(2); i <= M; i++ {
+		t.idx[i] += t.idx[i-1]
+	}
+	t.hints = make([]pairHint, n)
+	enum(func(rem uint64, h pairHint) {
+		t.hints[t.idx[rem+1]] = h
+		t.idx[rem+1]++
+	})
+	// Duplicates share their symbol pair, so each hint is checked only
+	// against the kept hints of its own pair run.
+	kept, lo := uint32(0), uint32(0)
+	for rem := uint64(0); rem < M; rem++ {
+		start, hi := kept, t.idx[rem+1]
+		for _, h := range t.hints[lo:hi] {
+			dup := false
+			for j := int(kept) - 1; j >= int(start) && t.hints[j].symA == h.symA && t.hints[j].symB == h.symB; j-- {
+				if t.hints[j] == h {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				t.hints[kept] = h
+				kept++
+			}
+		}
+		t.idx[rem], lo = start, hi
+	}
+	t.idx[M] = kept
+	if int(kept) < n {
+		exact := make([]pairHint, kept)
+		copy(exact, t.hints)
+		t.hints = exact
+	}
+	return t
+}
+
+// decHintEnum enumerates every cross-symbol double-bit error as a hint
+// (locations plus second delta). Same-symbol pairs are recoverable from
+// Eq. 2 directly and are not stored.
+func (c *Code) decHintEnum(emit func(rem uint64, h pairHint)) {
 	g := c.cfg.Geometry
-	table := make(map[uint64][]pairHint)
 	for sA := 0; sA < g.NumSymbols; sA++ {
 		for sB := sA + 1; sB < g.NumSymbols; sB++ {
 			for tA := 0; tA < g.SymbolBits; tA++ {
@@ -353,55 +439,39 @@ func (c *Code) buildDECHints() map[uint64][]pairHint {
 							dA := signA << uint(tA)
 							dB := signB << uint(tB)
 							rem := (c.tab.SymbolRemainder(dA, sA) + c.tab.SymbolRemainder(dB, sB)) % c.cfg.M
-							table[rem] = append(table[rem], pairHint{symA: int8(sA), symB: int8(sB), deltaB: int32(dB)})
+							emit(rem, pairHint{symA: int8(sA), symB: int8(sB), deltaB: int32(dB)})
 						}
 					}
 				}
 			}
 		}
 	}
-	dedupeHints(table)
-	return table
 }
 
-// buildBFBFHints enumerates double bounded faults: two beat-aligned
+// nibbleDeltas are the signed errors one beat of one x4 device can put
+// on an 8-bit symbol: a nibble value on either half.
+var nibbleDeltas = func() []int64 {
+	out := make([]int64, 0, 60)
+	for x := int64(1); x <= 15; x++ {
+		out = append(out, x, -x, x<<4, -(x << 4))
+	}
+	return out
+}()
+
+// bfbfHintEnum enumerates double bounded faults: two beat-aligned
 // nibble corruptions in different symbols (a bounded fault is what one
 // beat of one x4 device can corrupt).
-func (c *Code) buildBFBFHints() map[uint64][]pairHint {
+func (c *Code) bfbfHintEnum(emit func(rem uint64, h pairHint)) {
 	g := c.cfg.Geometry
-	table := make(map[uint64][]pairHint)
-	nibbleDeltas := make([]int64, 0, 60)
-	for x := int64(1); x <= 15; x++ {
-		nibbleDeltas = append(nibbleDeltas, x, -x, x<<4, -(x << 4))
-	}
 	for sA := 0; sA < g.NumSymbols; sA++ {
 		for sB := sA + 1; sB < g.NumSymbols; sB++ {
 			for _, dA := range nibbleDeltas {
 				for _, dB := range nibbleDeltas {
 					rem := (c.tab.SymbolRemainder(dA, sA) + c.tab.SymbolRemainder(dB, sB)) % c.cfg.M
-					table[rem] = append(table[rem], pairHint{symA: int8(sA), symB: int8(sB), deltaB: int32(dB)})
+					emit(rem, pairHint{symA: int8(sA), symB: int8(sB), deltaB: int32(dB)})
 				}
 			}
 		}
-	}
-	dedupeHints(table)
-	return table
-}
-
-// dedupeHints removes duplicate sub-entries within each remainder bucket
-// (distinct first-symbol deltas of one (pair, deltaB) combination always
-// share the derived value, so duplicates carry no information).
-func dedupeHints(table map[uint64][]pairHint) {
-	for rem, hs := range table {
-		seen := make(map[pairHint]bool, len(hs))
-		out := hs[:0]
-		for _, h := range hs {
-			if !seen[h] {
-				seen[h] = true
-				out = append(out, h)
-			}
-		}
-		table[rem] = out
 	}
 }
 

@@ -273,7 +273,7 @@ func (c *Code) tryModel(model FaultModel, base []wideint.U192, rems []uint64, co
 	default:
 		// Independent per-codeword models: SSC, DEC, BF+BF.
 		dims := corrupted
-		if c.cfg.TryZeroRemainder && c.hints[model] != nil {
+		if c.cfg.TryZeroRemainder && c.hints(model) != nil {
 			// Phase two (§VIII-A): errors aliasing to remainder zero are
 			// also considered, so clean-looking codewords get a no-op
 			// candidate plus the zero-remainder hint bucket.
@@ -308,7 +308,7 @@ func prependNoop(list []correction) []correction {
 // modelCandidates dispatches per-codeword candidate generation.
 func (c *Code) modelCandidates(dst []correction, s *Scratch, model FaultModel, w wideint.U192, rem uint64) []correction {
 	if rem == 0 {
-		if c.cfg.TryZeroRemainder && c.hints[model] != nil {
+		if c.cfg.TryZeroRemainder && c.hints(model) != nil {
 			return c.pairCandidatesPruned(dst, w, model)
 		}
 		return dst

@@ -125,11 +125,11 @@ func (c *Code) buildFastTables() *fastTables {
 
 	// DEC cross-symbol pairs: walk each remainder's hint bucket in its
 	// stored (enumeration) order, pre-solving Eq. 3.
-	if hints := c.hints[ModelDEC]; hints != nil {
+	if hints := c.decHints; hints != nil {
 		f.decIdx = make([]uint32, M+1)
 		for rem := uint64(0); rem < M; rem++ {
 			start := len(f.decCands)
-			for _, h := range hints[rem] {
+			for _, h := range hints.bucket(rem) {
 				dA, ok := c.tab.SolvePair(rem, int(h.symA), int(h.symB), int64(h.deltaB))
 				if !ok {
 					continue
@@ -148,14 +148,14 @@ func (c *Code) buildFastTables() *fastTables {
 	// buckets are pair-major (the builder enumerates sA<sB outermost and
 	// dedupe preserves order), so rank-major grouping keeps the bucket's
 	// raw order for the whole-remainder walk too.
-	if hints := c.hints[ModelBFBF]; hints != nil {
+	if hints := c.bfbfHints; hints != nil {
 		f.bfbfIdx = make([]uint32, M*uint64(f.pairs)+1)
 		byRank := make([][]fastCand, f.pairs)
 		for rem := uint64(0); rem < M; rem++ {
 			for rk := range byRank {
 				byRank[rk] = byRank[rk][:0]
 			}
-			for _, h := range hints[rem] {
+			for _, h := range hints.bucket(rem) {
 				dA, ok := c.tab.SolvePair(rem, int(h.symA), int(h.symB), int64(h.deltaB))
 				if !ok {
 					continue

@@ -85,12 +85,12 @@ func TestHintTableDifferential(t *testing.T) {
 						fast.sscCandidatesAt(nil, sf, w, rem, sym),
 						slow.sscCandidatesAt(nil, ss, w, rem, sym))
 				}
-				if fast.hints[ModelDEC] != nil {
+				if fast.decHints != nil {
 					check(rem, w, "dec",
 						fast.decCandidates(nil, sf, w, rem),
 						slow.decCandidates(nil, ss, w, rem))
 				}
-				if fast.hints[ModelBFBF] != nil {
+				if fast.bfbfHints != nil {
 					check(rem, w, "bfbf",
 						fast.bfbfCandidates(nil, sf, w, rem),
 						slow.bfbfCandidates(nil, ss, w, rem))

@@ -164,7 +164,9 @@ type Code struct {
 	trace    TraceFunc
 	latency  *latency.Probe
 
-	hints map[FaultModel]map[uint64][]pairHint
+	// decHints and bfbfHints are the DEC and BF+BF hint tables, nil when
+	// the model is not configured.
+	decHints, bfbfHints *hintTable
 
 	// fast holds the candidate-free correction tables (fast.go) when the
 	// configuration admits them; nil falls back to runtime enumeration.
@@ -220,13 +222,7 @@ func New(cfg Config, m mac.MAC) (*Code, error) {
 	if g.CodewordBits() != wordGeo.WordBits() {
 		return nil, fmt.Errorf("poly: geometry %+v does not match the DDR5 channel", g)
 	}
-	ok := false
-	if cfg.Relaxed {
-		ok, _ = residue.CheckMultiplierRelaxed(cfg.M, g)
-	} else {
-		ok, _ = residue.CheckMultiplier(cfg.M, g)
-	}
-	if !ok {
+	if !residue.Admissible(cfg.M, g, cfg.Relaxed) {
 		return nil, fmt.Errorf("poly: multiplier %d does not define a code for %+v (relaxed=%v)", cfg.M, g, cfg.Relaxed)
 	}
 	words := wordGeo.WordsPerBurst()
@@ -263,17 +259,16 @@ func New(cfg Config, m mac.MAC) (*Code, error) {
 		metrics:  cfg.Metrics,
 		trace:    cfg.Trace,
 		latency:  cfg.Latency,
-		hints:    make(map[FaultModel]map[uint64][]pairHint),
 	}
 	for _, fm := range models {
 		switch fm {
 		case ModelDEC:
-			c.hints[ModelDEC] = c.buildDECHints()
+			c.decHints = c.buildHintTable(c.decHintEnum)
 		case ModelBFBF:
 			if g.SymbolBits != 8 {
 				return nil, fmt.Errorf("poly: BF+BF hints implemented for 8-bit symbols only")
 			}
-			c.hints[ModelBFBF] = c.buildBFBFHints()
+			c.bfbfHints = c.buildHintTable(c.bfbfHintEnum)
 		}
 	}
 	c.loBits = uint(c.k + c.macBits)
@@ -340,11 +335,10 @@ func (c *Code) Geometry() residue.Geometry { return c.cfg.Geometry }
 // hint table (0 when the model derives candidates purely at runtime).
 // Table VI's hint-storage rows are computed from these counts.
 func (c *Code) HintTableEntries(m FaultModel) int {
-	n := 0
-	for _, hs := range c.hints[m] {
-		n += len(hs)
+	if t := c.hints(m); t != nil {
+		return len(t.hints)
 	}
-	return n
+	return 0
 }
 
 // --- Codeword encode/decode -----------------------------------------------

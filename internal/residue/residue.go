@@ -183,41 +183,43 @@ func CheckMultiplierRelaxed(m uint64, g Geometry) (bool, map[uint64]int) {
 }
 
 func checkMultiplier(m uint64, g Geometry, strict bool) (bool, map[uint64]int) {
-	if err := g.Validate(); err != nil {
-		return false, nil
-	}
-	if m < 2 || m%2 == 0 {
+	if !Admissible(m, g, !strict) {
 		return false, nil
 	}
 	maxDelta := int64(1)<<uint(g.SymbolBits) - 1
-	if int64(m) <= maxDelta {
-		// Two positive deltas would collide mod m: unrecoverable.
-		return false, nil
-	}
 	degrees := make(map[uint64]int)
-	seen := make(map[uint64]bool, 2*int(maxDelta))
 	for s := 0; s < g.NumSymbols; s++ {
 		pow := PowMod(2, uint64(g.SymbolOffset(s)), m)
-		clear(seen)
 		for e := int64(1); e <= maxDelta; e++ {
+			// remP ≠ 0: pow is invertible mod the odd m, and e < m.
 			remP := MulMod(uint64(e), pow, m)
-			remM := uint64(0)
-			if remP != 0 {
-				remM = m - remP
-			}
-			// Within-symbol uniqueness (line 10 of Algorithm 1): if the
-			// positive and negative variants of any two deltas collide,
-			// correction inside the symbol would be ambiguous.
-			if strict && (remP == remM || seen[remP] || seen[remM]) {
-				return false, nil
-			}
-			seen[remP] = true
-			seen[remM] = true
 			degrees[remP]++
-			degrees[remM]++
+			degrees[m-remP]++
 		}
 	}
 	return true, degrees
+}
+
+// Admissible reports CheckMultiplier's verdict (CheckMultiplierRelaxed's
+// when relaxed) without building the aliasing-degree map. Symbol s maps
+// delta ±e to ±e·2^offset mod m; for odd m, 2^offset is invertible, so
+// the symbol's remainders are distinct exactly when the residues ±e
+// (1 ≤ e ≤ maxDelta) are, the same condition for every symbol:
+//
+//   - relaxed: every delta is recoverable through one branch of Eq. 2
+//     once m > maxDelta (otherwise two positive deltas collide mod m);
+//   - strict (line 10 of Algorithm 1, within-symbol uniqueness): e and
+//     m-e' stay apart for all e, e' ≤ maxDelta once m > 2·maxDelta,
+//     which is 511 for 8-bit symbols (§V-A) and 2^17-1 for 16-bit ones.
+func Admissible(m uint64, g Geometry, relaxed bool) bool {
+	if g.Validate() != nil || m < 2 || m%2 == 0 {
+		return false
+	}
+	maxDelta := uint64(1)<<uint(g.SymbolBits) - 1
+	if relaxed {
+		return m > maxDelta
+	}
+	return m > 2*maxDelta
 }
 
 // AliasStats summarizes an aliasing-degree map (Table III / Table IV /

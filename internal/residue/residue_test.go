@@ -481,3 +481,60 @@ func TestPropSearchResultsAdmissible(t *testing.T) {
 		}
 	}
 }
+
+// Admissible against Algorithm 1's definitions, evaluated symbol by
+// symbol through SymbolErrorRemainder and Eq. 2: a relaxed code recovers
+// every signed delta from its remainder, and a strict one also gives each
+// delta of a symbol its own remainder. Checked for every M < 3000 on the
+// 4-, 8- and 16-bit geometries, around the 16-bit strict threshold
+// 2^17-1, and for the Table IV multipliers.
+func TestAdmissibleDefinition(t *testing.T) {
+	oracle := func(m uint64, g Geometry, relaxed bool) bool {
+		if g.Validate() != nil || m < 2 {
+			return false
+		}
+		inv, err := Pow2Inverses(m, g)
+		if err != nil {
+			return false
+		}
+		maxDelta := int64(1)<<g.SymbolBits - 1
+		for s := 0; s < g.NumSymbols; s++ {
+			seen := make([]bool, m)
+			for d := -maxDelta; d <= maxDelta; d++ {
+				if d == 0 {
+					continue
+				}
+				rem := SymbolErrorRemainder(d, s, m, g)
+				if e := int64(MulMod(rem, inv[s], m)); d != e && d != e-int64(m) {
+					return false
+				}
+				if !relaxed && seen[rem] {
+					return false
+				}
+				seen[rem] = true
+			}
+		}
+		return true
+	}
+	geoms := []Geometry{{NumSymbols: 10, SymbolBits: 4}, DDR5x8, DDR5x16}
+	check := func(m uint64, g Geometry) {
+		t.Helper()
+		for _, relaxed := range []bool{false, true} {
+			if got, want := Admissible(m, g, relaxed), oracle(m, g, relaxed); got != want {
+				t.Fatalf("M=%d %+v relaxed=%v: Admissible %v, definition %v", m, g, relaxed, got, want)
+			}
+		}
+	}
+	for _, g := range geoms {
+		for m := uint64(0); m < 3000; m++ {
+			check(m, g)
+		}
+		check(131049, g)
+	}
+	for _, m := range []uint64{131069, 131071, 131073} {
+		check(m, DDR5x16)
+	}
+	if Admissible(511, Geometry{NumSymbols: 10, SymbolBits: 40}, true) {
+		t.Error("invalid geometry admitted")
+	}
+}

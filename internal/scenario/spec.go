@@ -380,7 +380,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %q: unknown selection %q (mix or block)", s.Name, s.Selection)
 	}
 	if s.Code != "" {
-		if _, err := linecode.New(s.Code); err != nil {
+		if err := linecode.CheckName(s.Code); err != nil {
 			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}

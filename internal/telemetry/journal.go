@@ -503,12 +503,12 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	trace := make([]chromeTraceEvent, 0, len(events))
 	for _, e := range events {
 		ct := chromeTraceEvent{
-			Name:  e.Name,
-			Cat:   e.Kind,
-			TsUs:  float64(e.TimeNs) / 1e3,
-			PID:   1,
-			TID:   e.Worker,
-			Args:  map[string]any{"seq": e.Seq, "source": e.Source},
+			Name: e.Name,
+			Cat:  e.Kind,
+			TsUs: float64(e.TimeNs) / 1e3,
+			PID:  1,
+			TID:  e.Worker,
+			Args: map[string]any{"seq": e.Seq, "source": e.Source},
 		}
 		if e.Outcome != "" {
 			ct.Args["outcome"] = e.Outcome

@@ -115,11 +115,12 @@ report-smoke:
 	@rm -rf $(SMOKE_DIR)
 	@echo "report-smoke: journal -> eccreport round trip OK"
 
-# Scenario engine end to end: the preset registry lists, a deprecated
-# flag spelling prints its equivalence note and produces byte-identical
-# output to its -scenario preset, a user-authored spec file runs on the
-# virtual clock, and the run summary's scenario digest reaches the
-# report's Scenario section.
+# Scenario engine end to end: the preset registry lists, a recorded
+# storm journal replays through both drivers (the campaign and, with
+# -memctl, the controller loop on the virtual clock), a user-authored
+# spec file runs on the virtual clock, the run summary's scenario digest
+# reaches the report's Scenario section, and the spec and journal parse
+# boundaries take 10 s of fuzzing each.
 SCEN_DIR := $(shell mktemp -u -d /tmp/polyecc-scenario.XXXXXX)
 scenario-smoke:
 	@mkdir -p $(SCEN_DIR)
@@ -127,22 +128,24 @@ scenario-smoke:
 	@$(SCEN_DIR)/faultinject -list-scenarios > $(SCEN_DIR)/list.txt
 	@grep -q 'memctlsoak' $(SCEN_DIR)/list.txt \
 		|| { echo "scenario-smoke: preset registry incomplete" >&2; exit 1; }
-	@grep -q 'Deprecated flag spellings' $(SCEN_DIR)/list.txt \
-		|| { echo "scenario-smoke: deprecation notes missing from -list-scenarios" >&2; exit 1; }
 	@$(SCEN_DIR)/faultinject -scenario polysoak -n 60 -seed 9 \
-		-summary $(SCEN_DIR)/run.json > $(SCEN_DIR)/new.txt
-	@$(SCEN_DIR)/faultinject -poly -injections 60 -seed 9 \
-		> $(SCEN_DIR)/old.txt 2> $(SCEN_DIR)/note.txt
-	@grep -q 'deprecated; the equivalent preset is' $(SCEN_DIR)/note.txt \
-		|| { echo "scenario-smoke: deprecated flag printed no equivalence note" >&2; exit 1; }
-	@cmp -s $(SCEN_DIR)/new.txt $(SCEN_DIR)/old.txt \
-		|| { echo "scenario-smoke: -poly and -scenario polysoak outputs diverge" >&2; exit 1; }
+		-summary $(SCEN_DIR)/run.json >/dev/null
+	@$(SCEN_DIR)/faultinject -scenario stormsoak -n 200 -seed 7 \
+		-journal $(SCEN_DIR)/events.jsonl >/dev/null 2>&1
+	@for mode in "" -memctl; do \
+		$(SCEN_DIR)/faultinject -replay $(SCEN_DIR)/events.jsonl $$mode > $(SCEN_DIR)/replay.txt 2>/dev/null \
+			|| { echo "scenario-smoke: -replay $$mode failed" >&2; exit 1; }; \
+		grep -q 'replayed 200 recorded anomalies' $(SCEN_DIR)/replay.txt \
+			|| { echo "scenario-smoke: -replay $$mode did not replay the 200 recorded anomalies" >&2; cat $(SCEN_DIR)/replay.txt >&2; exit 1; }; \
+	done
 	@$(SCEN_DIR)/faultinject -spec examples/scenarios/mixed-tenants.json -n 120 >/dev/null
 	$(GO) run ./cmd/eccreport -summary $(SCEN_DIR)/run.json -o $(SCEN_DIR)/report.html
 	@grep -q '<h2>Scenario</h2>' $(SCEN_DIR)/report.html \
 		|| { echo "scenario-smoke: report missing Scenario section" >&2; exit 1; }
 	@rm -rf $(SCEN_DIR)
-	@echo "scenario-smoke: presets, deprecated spellings, spec file, report section OK"
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoadSchedule$$' -fuzztime 10s -fuzzminimizetime 2s
+	@echo "scenario-smoke: presets, replay through both drivers, spec file, report section, parse fuzzing OK"
 
 # Live health end to end: a seeded rowhammer storm soak serves its health
 # engine on a random port, ecctop blocks until the SLO tracker pages,

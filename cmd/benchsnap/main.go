@@ -442,8 +442,8 @@ func main() {
 	}{
 		{"decode/corrected-ssc+metrics", decodeBench(instrumented, bad, false)},
 		{"decode-batch32/clean", func(b *testing.B) {
-			// One op is a 32-line batch through DecodeLines — the scrubber
-			// and parallel-decoder steady state. ns/op is per batch.
+			// One op is a 32-line batch through DecodeLines — the scrubber's
+			// steady state. ns/op is per batch.
 			lines := make([]polyecc.Line, 32)
 			for i := range lines {
 				lines[i] = clean.Clone()

@@ -1,6 +1,7 @@
 // Command ecctop is the live terminal dashboard of the health engine:
 // it polls a running tool's /regions endpoint (any cmd with
-// -metrics-addr and -journal, e.g. `faultinject -storm -serve-after`)
+// -metrics-addr and -journal, e.g. `faultinject -scenario stormsoak
+// -serve-after`)
 // and renders the SLO burn state, per-class error rates, fault
 // signatures, the per-region error heatmap, and the alert timeline,
 // refreshing in place like top(1).
@@ -39,10 +40,11 @@
 // drawn from the /timeseries window when the recorder is on.
 //
 // When the polled tool runs the adaptive memory controller (`faultinject
-// -memctl`, examples/scrubber -journal), its /memctl endpoint feeds an
-// extra panel: scrub escalation level, decided fault-model trial order,
-// quarantined lines, retired pages, codec migrations, and the recent
-// action log with the evidence that triggered each decision.
+// -scenario memctlsoak`, examples/scrubber -journal), its /memctl
+// endpoint feeds an extra panel: scrub escalation level, decided
+// fault-model trial order, quarantined lines, retired pages, codec
+// migrations, and the recent action log with the evidence that
+// triggered each decision.
 package main
 
 import (

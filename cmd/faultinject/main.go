@@ -68,10 +68,6 @@
 //	faultinject -scenario polysoak -journal events.jsonl -summary run.json -chrome-trace timeline.json
 //	faultinject -scenario polysoak -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// The pre-scenario flag spellings (-fig 4, -fig 5, -poly, -storm,
-// -memctl) are deprecated but still honored; each maps to its preset
-// with identical schedules and counts for the same seed.
-//
 // -cpuprofile and -memprofile write offline pprof profiles bracketing the
 // campaign; they are produced on a graceful drain (Ctrl-C, -timeout) too,
 // so a soak can be profiled without waiting for the full budget.
@@ -104,19 +100,13 @@ func main() {
 	specPath := flag.String("spec", "", "run the scenario spec in this JSON file")
 	scenarioName := flag.String("scenario", "", "run a built-in scenario preset by name or alias (-list-scenarios prints the registry)")
 	replayPath := flag.String("replay", "", "re-run the decode anomalies recorded in this journal JSONL as an injection schedule (add -memctl to close the controller loop)")
-	listScenarios := flag.Bool("list-scenarios", false, "list the built-in scenario presets and the deprecated flag spellings, then exit")
+	listScenarios := flag.Bool("list-scenarios", false, "list the built-in scenario presets, then exit")
 	dumpSpec := flag.Bool("dump-spec", false, "print the resolved scenario spec as JSON and exit without running it")
-
-	// Deprecated spellings, kept for compatibility: each maps to a preset.
-	fig := flag.Int("fig", 0, "deprecated: use -scenario figure4 / -scenario figure5")
-	polySoak := flag.Bool("poly", false, "deprecated: use -scenario polysoak")
-	storm := flag.Bool("storm", false, "deprecated: use -scenario stormsoak")
-	memctlMode := flag.Bool("memctl", false, "close the loop through the adaptive memory controller; alone it is deprecated for -scenario memctlsoak")
+	memctlMode := flag.Bool("memctl", false, "with -replay: close the loop through the adaptive memory controller")
 
 	actionsOut := flag.String("actions", "", "write the controller's action log (memctl scenarios) as JSON to this file")
 	codeName := flag.String("code", "poly-m2005", "registry code decode scenarios run with (overrides the spec's code when set explicitly)")
 	trials := flag.Int("n", 0, "trial budget (default: the scenario's own; per client for the figure campaigns)")
-	injections := flag.Int("injections", 0, "deprecated alias for -n")
 	seed := flag.Int64("seed", 1, "deterministic seed (overrides a spec file's seed when set explicitly)")
 	out := flag.String("o", "", "also write the output to this file")
 	workers := flag.Int("workers", 0, "concurrent trial workers (default GOMAXPROCS; sequential scenarios ignore this)")
@@ -147,20 +137,15 @@ func main() {
 		return
 	}
 
-	s, presetName := resolveSpec(*specPath, *replayPath, *scenarioName, *fig, *polySoak, *storm, *memctlMode, explicit)
+	s, presetName := resolveSpec(*specPath, *replayPath, *scenarioName, *memctlMode)
 
 	// Flag overrides: a spec file owns its seed unless -seed is explicit;
-	// presets and the deprecated spellings always take the flag (the
-	// pre-scenario behavior).
+	// presets always take the flag.
 	if *specPath == "" || explicit["seed"] {
 		s.Seed = *seed
 	}
-	n := *trials
-	if n == 0 {
-		n = *injections
-	}
-	if n > 0 {
-		s.SetBudget(n)
+	if *trials > 0 {
+		s.SetBudget(*trials)
 	}
 	if explicit["code"] {
 		s.Code = *codeName
@@ -263,7 +248,7 @@ func main() {
 		rec.Start()
 	}
 
-	opts := exp.CampaignOpts{
+	opts := scenario.Opts{
 		Workers:         *workers,
 		CheckpointPath:  *ckpt,
 		CheckpointEvery: *ckptEvery,
@@ -328,7 +313,7 @@ func main() {
 		telemetry.Fatal(logger, "scenario failed", "name", s.Name, "err", err)
 	}
 	run := res.Campaign
-	text := renderText(presetName, s, res)
+	text := res.Render()
 
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
@@ -445,14 +430,13 @@ func main() {
 }
 
 // resolveSpec picks the scenario to run: an explicit spec file, a
-// journal replay, a named preset, or one of the deprecated flag
-// spellings (which print an equivalence note to stderr). The bare
-// invocation keeps its historical meaning and runs figure4.
-func resolveSpec(specPath, replayPath, scenarioName string, fig int, polySoak, storm, memctlMode bool, explicit map[string]bool) (*scenario.Spec, string) {
-	deprecated := func(old, preset string) *scenario.Spec {
-		fmt.Fprintf(os.Stderr, "faultinject: note: %s is deprecated; the equivalent preset is `-scenario %s` (identical schedule and counts for the same seed)\n", old, preset)
-		p, _ := scenario.LookupPreset(preset)
-		return p.Spec()
+// journal replay (closed through the controller with -memctl), or a
+// named preset. The bare invocation runs figure4.
+func resolveSpec(specPath, replayPath, scenarioName string, memctlMode bool) (*scenario.Spec, string) {
+	if memctlMode && replayPath == "" {
+		fmt.Fprintln(os.Stderr, "faultinject: -memctl closes a -replay through the controller; run the self-healing soak with -scenario memctlsoak")
+		flag.Usage()
+		os.Exit(2)
 	}
 	switch {
 	case specPath != "":
@@ -474,43 +458,10 @@ func resolveSpec(specPath, replayPath, scenarioName string, fig int, polySoak, s
 			die("unknown scenario %q (-list-scenarios prints the registry)", scenarioName)
 		}
 		return p.Spec(), p.Name
-	case memctlMode:
-		return deprecated("-memctl", "memctlsoak"), "memctlsoak"
-	case storm:
-		return deprecated("-storm", "stormsoak"), "stormsoak"
-	case polySoak:
-		return deprecated("-poly", "polysoak"), "polysoak"
-	case fig == 5:
-		return deprecated("-fig 5", "figure5"), "figure5"
-	case fig == 4 || fig == 0:
-		if explicit["fig"] {
-			return deprecated("-fig 4", "figure4"), "figure4"
-		}
-		p, _ := scenario.LookupPreset("figure4")
-		return p.Spec(), "figure4"
 	default:
-		die("unknown figure (use 4 or 5)")
-		return nil, ""
+		p, _ := scenario.LookupPreset("figure4")
+		return p.Spec(), p.Name
 	}
-}
-
-// renderText keeps the paper-named renderers for the preset campaigns
-// (and the SELF-HEAL verdict line `make heal-smoke` greps for on memctl
-// runs); everything else — spec files, replays — uses the generic
-// scenario renderer.
-func renderText(presetName string, s *scenario.Spec, res *scenario.Result) string {
-	if res.Seq != nil && s.Memctl != nil && s.Memctl.Enabled {
-		return exp.RenderMemctlSoak(*res.Seq) + res.RenderLatency()
-	}
-	switch presetName {
-	case "figure4":
-		return exp.RenderFigure4(res.ProgramRows())
-	case "figure5":
-		return exp.RenderFigure5(res.InferenceResults())
-	case "polysoak":
-		return exp.RenderPolySoak(res.Decode()) + res.RenderLatency()
-	}
-	return res.Render()
 }
 
 func printScenarios() {
@@ -522,11 +473,6 @@ func printScenarios() {
 			extras = append([]string{"aliases: " + strings.Join(p.Aliases, ", ")}, extras...)
 		}
 		fmt.Printf("              %s\n", strings.Join(extras, "; "))
-	}
-	fmt.Println()
-	fmt.Println("Deprecated flag spellings (still honored, identical schedules for the same seed):")
-	for _, p := range scenario.Presets() {
-		fmt.Printf("  %-9s -> -scenario %s\n", p.Legacy, p.Name)
 	}
 	fmt.Println()
 	fmt.Println("Custom workload mixes are JSON spec files run with -spec; see examples/scenarios/ and EXPERIMENTS.md.")

@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"polyecc/internal/exp"
 	"polyecc/internal/health"
 	"polyecc/internal/linecode"
+	"polyecc/internal/scenario"
 	"polyecc/internal/telemetry"
 )
 
@@ -26,11 +26,19 @@ func TestStormSoakPagesWithRowhammerSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.RowhammerStorm(context.Background(), lc, trials, seed,
-		telemetry.NewDecodeMetrics(), exp.CampaignOpts{Journal: j})
+	p, ok := scenario.LookupPreset("stormsoak")
+	if !ok {
+		t.Fatal("preset stormsoak missing")
+	}
+	s := p.Build()
+	s.Seed = seed
+	s.SetBudget(trials)
+	run, err := scenario.Run(context.Background(), s,
+		scenario.Opts{Journal: j, Metrics: telemetry.NewDecodeMetrics(), Code: lc})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Decode()
 	if res.Completed != trials {
 		t.Fatalf("completed %d/%d trials", res.Completed, trials)
 	}
@@ -85,8 +93,8 @@ func TestStormSoakPagesWithRowhammerSignature(t *testing.T) {
 	}
 	// The heatmap must concentrate the errors in the two victim rows'
 	// regions, not spread them uniformly.
-	victimRegionLo := (res.AggressorRow - 1) * exp.StormRowLines / 64
-	victimRegionHi := (res.AggressorRow + 1) * exp.StormRowLines / 64
+	victimRegionLo := (res.AggressorRow - 1) * scenario.StormRowLines / 64
+	victimRegionHi := (res.AggressorRow + 1) * scenario.StormRowLines / 64
 	var victimHits, totalHits int64
 	for _, r := range snap.Regions {
 		n := r.Corrected + r.SDC + r.DUE

@@ -13,6 +13,17 @@ import (
 // each fold column L1-resident while amortizing the column walk.
 const batchTile = 32
 
+// Result pairs one decode's output with its input index.
+type Result struct {
+	Index  int
+	Data   [LineBytes]byte
+	Report Report
+	// Err is non-nil when the decode of this line panicked; Data and
+	// Report are zero. One poisoned line fails alone instead of taking
+	// the whole batch's goroutine down.
+	Err error
+}
+
 // DecodeLines decodes a batch of lines through one Scratch, appending
 // one Result per line to dst (indexed relative to lines) and returning
 // the extended slice. With a dst that has capacity for the batch the
@@ -76,7 +87,8 @@ func (c *Code) decodeTile(dst []Result, tile []Line, off int, s *Scratch) []Resu
 }
 
 // decodeLineInto decodes one line into a prepared Result with panic
-// isolation — the batched counterpart of ParallelDecoder.decodeOne.
+// isolation: a panicking decode is recovered into that line's Err
+// instead of unwinding the caller's goroutine.
 func (c *Code) decodeLineInto(r *Result, l Line, s *Scratch) {
 	defer func() {
 		if p := recover(); p != nil {

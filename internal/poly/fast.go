@@ -1,7 +1,8 @@
 package poly
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"polyecc/internal/wideint"
 )
@@ -81,7 +82,7 @@ func (fc fastCand) cost() int64 {
 // sortRun cost-sorts one per-remainder run in place, stably, so raw
 // generation order breaks ties exactly like finishCandidates.
 func sortRun(run []fastCand) {
-	sort.SliceStable(run, func(i, j int) bool { return run[i].cost() < run[j].cost() })
+	slices.SortStableFunc(run, func(a, b fastCand) int { return cmp.Compare(a.cost(), b.cost()) })
 }
 
 // buildFastTables inverts the candidate generators over every remainder

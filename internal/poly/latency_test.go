@@ -60,9 +60,9 @@ func TestLatencyAttachment(t *testing.T) {
 	}
 }
 
-// ParallelDecoder must fork the probe per worker: all observations land
-// in the shared collector with no race (run under -race) and the decode
-// count must be exact.
+// Workers sharing a probed Code each decode through a fork of the probe:
+// all observations land in the shared collector with no race (run under
+// -race) and the decode count must be exact.
 func TestParallelDecoderLatencyFork(t *testing.T) {
 	base := testCodeM2005(t)
 	coll := latency.NewCollector()
@@ -75,7 +75,7 @@ func TestParallelDecoderLatencyFork(t *testing.T) {
 		data[0] = byte(i)
 		lines[i] = c.EncodeLine(&data)
 	}
-	results := NewParallelDecoder(c, 4).DecodeAll(lines)
+	results := decodeConcurrently(c, 4, lines)
 	for _, r := range results {
 		if r.Err != nil || r.Report.Status != StatusClean {
 			t.Fatalf("line %d: err=%v status=%v", r.Index, r.Err, r.Report.Status)

@@ -1,15 +1,42 @@
 package poly
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
-	"time"
 
 	"polyecc/internal/mac"
 )
 
+// decodeConcurrently decodes lines on plain goroutines that share c, the
+// way campaign workers share one Code: each worker owns a Scratch and,
+// when c carries a latency probe, a fork of it. Results are indexed like
+// the input.
+func decodeConcurrently(c *Code, workers int, lines []Line) []Result {
+	results := make([]Result, len(lines))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			code := c
+			if lp := c.Latency(); lp != nil {
+				code = c.WithLatency(lp.Fork())
+			}
+			s := code.NewScratch()
+			for i := w; i < len(lines); i += workers {
+				data, rep := code.DecodeLineScratch(lines[i], s)
+				results[i] = Result{Index: i, Data: data, Report: rep}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return results
+}
+
+// Goroutines decoding through one shared Code must reproduce the serial
+// decodes exactly.
 func TestParallelDecoderMatchesSerial(t *testing.T) {
 	c := MustNew(ConfigM2005(), mac.MustSipHash(testKey, 40))
 	r := rand.New(rand.NewSource(1))
@@ -30,8 +57,7 @@ func TestParallelDecoderMatchesSerial(t *testing.T) {
 			lines[i].Words[w] = lines[i].Words[w].WithField(s*8, 8, old^uint64(1+r.Intn(255)))
 		}
 	}
-	pd := NewParallelDecoder(c, runtime.GOMAXPROCS(0))
-	results := pd.DecodeAll(lines)
+	results := decodeConcurrently(c, runtime.GOMAXPROCS(0), lines)
 	if len(results) != n {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -46,19 +72,6 @@ func TestParallelDecoderMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelDecoderWorkerClamping(t *testing.T) {
-	c := MustNew(ConfigM2005(), mac.MustSipHash(testKey, 40))
-	pd := NewParallelDecoder(c, -5)
-	var data [LineBytes]byte
-	res := pd.DecodeAll([]Line{c.EncodeLine(&data)})
-	if len(res) != 1 || res[0].Report.Status != StatusClean {
-		t.Fatal("single-worker fallback broken")
-	}
-	if out := pd.DecodeAll(nil); len(out) != 0 {
-		t.Fatal("empty input should return empty results")
-	}
-}
-
 // Race check: the same Code shared by many goroutines (run with -race).
 func TestParallelDecoderRace(t *testing.T) {
 	c := MustNew(ConfigM2005(), mac.MustSipHash(testKey, 40))
@@ -69,111 +82,11 @@ func TestParallelDecoderRace(t *testing.T) {
 		lines[i] = c.EncodeLine(&d)
 		lines[i].Words[0] = lines[i].Words[0].FlipBit(i % 80)
 	}
-	pd := NewParallelDecoder(c, 8)
 	for round := 0; round < 4; round++ {
-		for _, res := range pd.DecodeAll(lines) {
+		for _, res := range decodeConcurrently(c, 8, lines) {
 			if res.Report.Status == StatusUncorrectable {
 				t.Fatal("single-bit flip uncorrectable")
 			}
 		}
-	}
-}
-
-func BenchmarkParallelDecode(b *testing.B) {
-	c := MustNew(ConfigM2005(), mac.MustSipHash(testKey, 40))
-	r := rand.New(rand.NewSource(3))
-	lines := make([]Line, 128)
-	for i := range lines {
-		d := randLine(r)
-		lines[i] = c.EncodeLine(&d)
-		w := r.Intn(8)
-		s := r.Intn(10)
-		old := lines[i].Words[w].Field(s*8, 8)
-		lines[i].Words[w] = lines[i].Words[w].WithField(s*8, 8, old^uint64(1+r.Intn(255)))
-	}
-	for _, workers := range []int{1, 4} {
-		name := "workers1"
-		if workers == 4 {
-			name = "workers4"
-		}
-		b.Run(name, func(b *testing.B) {
-			pd := NewParallelDecoder(c, workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pd.DecodeAll(lines)
-			}
-		})
-	}
-}
-
-// A panicking decode is isolated into that line's Err; the other lines
-// still decode.
-func TestDecodeAllRecoversPanics(t *testing.T) {
-	pd := NewParallelDecoder(nil, 2) // nil code: every decode panics
-	var data [LineBytes]byte
-	c := MustNew(ConfigM2005(), mac.MustSipHash(testKey, 40))
-	lines := []Line{c.EncodeLine(&data), c.EncodeLine(&data), c.EncodeLine(&data)}
-	results := pd.DecodeAll(lines)
-	if len(results) != len(lines) {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, res := range results {
-		if res.Err == nil {
-			t.Fatalf("line %d: panic not captured", i)
-		}
-		if res.Index != i {
-			t.Fatalf("line %d: index %d", i, res.Index)
-		}
-	}
-}
-
-// Cancellation stops dispatching and returns the completed prefix; the
-// prefix matches serial decodes.
-func TestDecodeAllContextCancellation(t *testing.T) {
-	c := MustNew(ConfigM2005(), mac.MustSipHash(testKey, 40))
-	r := rand.New(rand.NewSource(4))
-	lines := make([]Line, 64)
-	for i := range lines {
-		d := randLine(r)
-		lines[i] = c.EncodeLine(&d)
-		lines[i].Words[0] = lines[i].Words[0].FlipBit(r.Intn(80))
-	}
-	pd := NewParallelDecoder(c, 4)
-
-	// Pre-cancelled: nothing is dispatched.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, err := pd.DecodeAllContext(ctx, lines)
-	if err == nil {
-		t.Fatal("cancelled context reported no error")
-	}
-	if len(results) != 0 {
-		t.Fatalf("pre-cancelled decode dispatched %d lines", len(results))
-	}
-
-	// Cancelled mid-flight: a strict completed prefix comes back correct.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel2()
-	}()
-	results, err = pd.DecodeAllContext(ctx2, lines)
-	if err == nil && len(results) != len(lines) {
-		t.Fatal("nil error with an incomplete result set")
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("line %d errored: %v", i, res.Err)
-		}
-		wantData, wantRep := c.DecodeLine(lines[i])
-		if res.Data != wantData || res.Report != wantRep {
-			t.Fatalf("line %d: prefix result differs from serial decode", i)
-		}
-	}
-
-	// Background context: identical to DecodeAll.
-	results, err = pd.DecodeAllContext(context.Background(), lines)
-	if err != nil || len(results) != len(lines) {
-		t.Fatalf("uncancelled run: err=%v results=%d", err, len(results))
 	}
 }

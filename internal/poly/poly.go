@@ -116,8 +116,8 @@ type Config struct {
 	// Latency, when non-nil, receives every encode and decode duration
 	// classified by outcome (clean/corrected/uncorrectable) at 0
 	// allocs/op. A Probe is a single-goroutine handle — concurrent
-	// consumers mint one per worker (latency.Probe.Fork), which
-	// ParallelDecoder does automatically. Nil costs one branch.
+	// consumers mint one per worker (latency.Probe.Fork). Nil costs one
+	// branch.
 	Latency *latency.Probe
 }
 

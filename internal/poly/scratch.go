@@ -18,7 +18,7 @@ import (
 //
 // Ownership contract: a Scratch belongs to exactly one goroutine at a
 // time. It carries no synchronization — give each worker its own (see
-// ParallelDecoder, campaign.Config.WorkerState) or confine one to a
+// campaign.Config.WorkerState) or confine one to a
 // single-goroutine consumer (scrub.Scrubber). A Scratch built for one
 // geometry works with any Code of the same geometry; mixing geometries
 // panics. The legacy EncodeLine/DecodeLine/FromBurst entry points remain
@@ -270,7 +270,7 @@ func (c *Code) WithTrace(f TraceFunc) *Code {
 // encode/decode duration into p (nil detaches). Like WithMetrics, the
 // copy shares the hint tables, inverse tables, and scratch pool. The
 // probe follows the Scratch ownership rule — one goroutine; concurrent
-// pools mint per-worker forks (see ParallelDecoder).
+// workers each decode through their own fork (latency.Probe.Fork).
 func (c *Code) WithLatency(p *latency.Probe) *Code {
 	c2 := *c
 	c2.cfg.Latency = p

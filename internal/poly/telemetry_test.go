@@ -207,7 +207,7 @@ func TestDecodeMetricsCollection(t *testing.T) {
 	}
 }
 
-// A collector shared across a decoder pool must stay exact under -race.
+// A collector shared by concurrent decoders must stay exact under -race.
 func TestDecodeMetricsConcurrent(t *testing.T) {
 	m := telemetry.NewDecodeMetrics()
 	cfg := ConfigM2005()
@@ -224,7 +224,7 @@ func TestDecodeMetricsConcurrent(t *testing.T) {
 		}
 		lines[i] = l
 	}
-	results := NewParallelDecoder(c, 8).DecodeAll(lines)
+	results := decodeConcurrently(c, 8, lines)
 	for _, res := range results {
 		if res.Report.Status == StatusUncorrectable {
 			t.Fatalf("line %d uncorrectable", res.Index)
@@ -238,7 +238,7 @@ func TestDecodeMetricsConcurrent(t *testing.T) {
 	}
 }
 
-// A trace hook with its own locking must also survive the pool.
+// A trace hook with its own locking must also survive concurrent decoders.
 func TestTraceHookConcurrent(t *testing.T) {
 	var mu sync.Mutex
 	trials := 0
@@ -257,7 +257,7 @@ func TestTraceHookConcurrent(t *testing.T) {
 		data := randLine(r)
 		lines[i] = corruptSymbol(c.EncodeLine(&data), i%c.Words(), 2+i%6, uint64(1+r.Intn(255)))
 	}
-	results := NewParallelDecoder(c, 4).DecodeAll(lines)
+	results := decodeConcurrently(c, 4, lines)
 	for _, res := range results {
 		total += res.Report.Iterations
 	}

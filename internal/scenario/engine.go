@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
-	"time"
 
 	"polyecc/internal/campaign"
 	"polyecc/internal/dram"
@@ -78,28 +78,40 @@ type Result struct {
 }
 
 // Run executes a validated spec. This is the one engine behind every
-// campaign driver: the legacy Figure 4/5 drivers, the soaks, and any
+// campaign: the paper's Figure 4/5 studies, the soaks, replays, and any
 // user-authored -spec file all flow through here, so workers/timeout/
 // checkpoint/journal wiring exists exactly once (Opts).
+//
+// Decode and replay specs share one trial pipeline. A plan supplies
+// each trial's step — drawn from the spec's clients, or read from a
+// recorded journal — and a lane injects the step's fault, decodes, and
+// classifies the outcome. One of two drivers runs the steps: the
+// campaign driver, sharded across workers, or the virtual-clock driver
+// when the spec needs globally ordered time.
 func Run(ctx context.Context, s *Spec, opts Opts) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if s.Kind != KindReplay && s.Trials <= 0 {
-		return nil, fmt.Errorf("scenario %q: a positive trial budget is required (set trials, or -n on the command line)", s.Name)
-	}
+	var p *plan
 	switch {
 	case s.Kind == KindReplay:
-		return runReplay(ctx, s, opts)
+		var err error
+		if p, err = replayPlan(s, opts); err != nil {
+			return nil, err
+		}
+	case s.Trials <= 0:
+		return nil, fmt.Errorf("scenario %q: a positive trial budget is required (set trials, or -n on the command line)", s.Name)
 	case s.Kind == KindPrograms:
 		return runPrograms(ctx, s, opts)
 	case s.Kind == KindInference:
 		return runInference(ctx, s, opts)
-	case s.Sequential():
-		return runSeq(ctx, s, opts)
 	default:
-		return runDecode(ctx, s, opts)
+		p = newPlan(s)
 	}
+	if s.Sequential() {
+		return runSeq(ctx, p, opts)
+	}
+	return runCampaign(ctx, p, opts)
 }
 
 // --- spec compilation -------------------------------------------------------
@@ -125,8 +137,9 @@ type clientPlan struct {
 }
 
 // plan is a spec compiled against its trial budget: every fraction
-// resolved to exact indices so both engines (parallel campaign and
-// sequential loop) walk identical schedules.
+// resolved to exact indices so both drivers (campaign and virtual
+// clock) walk identical schedules. A replay's plan carries the
+// recorded steps instead of clients.
 type plan struct {
 	spec    *Spec
 	clients []clientPlan
@@ -134,12 +147,24 @@ type plan struct {
 	blocks  []int // block-selection client boundaries over the budget
 	aggr    int   // seed-derived aggressor row, -1 when unused
 	models  []string
+	// labels are the per-client outcome labels ("client.<name>"), built
+	// once; nil for a single client, which records none.
+	labels []string
+	// schedule and replay are a replay's recorded schedule and the steps
+	// compiled from it; nil for a drawn schedule.
+	schedule []ReplayStep
+	replay   []step
 }
 
 func newPlan(s *Spec) *plan {
 	p := &plan{spec: s, aggr: -1}
 	fr := clientFractions(s.Clients)
 	p.blocks = boundaries(s.Trials, fr)
+	if len(s.Clients) > 1 {
+		for i := range s.Clients {
+			p.labels = append(p.labels, "client."+s.Clients[i].Name)
+		}
+	}
 
 	seen := map[string]bool{}
 	hammerClient := make([]bool, len(s.Clients))
@@ -223,11 +248,6 @@ func newPlan(s *Spec) *plan {
 	return p
 }
 
-// phaseAt finds the span holding a trial index.
-func (p *plan) phaseAt(index int) *phaseSpan {
-	return &p.phases[p.phaseIdx(index)]
-}
-
 // phaseIdx finds the position of the span holding a trial index.
 func (p *plan) phaseIdx(index int) int {
 	for i := range p.phases {
@@ -240,7 +260,7 @@ func (p *plan) phaseIdx(index int) int {
 
 // pickClient selects the trial's client. A single active client draws
 // nothing — the rule that keeps single-client presets (the soaks) on
-// their legacy RNG sequences.
+// the RNG sequences testdata/golden_legacy.json pins.
 func (p *plan) pickClient(r *rand.Rand, ph *phaseSpan) int {
 	if len(ph.active) == 1 {
 		return ph.active[0]
@@ -313,75 +333,111 @@ func (p *plan) drawLine(r *rand.Rand, ci int) int {
 	}
 }
 
-func envActive(env *FaultEnv) bool {
-	return env != nil && env.Kind != "" && env.Kind != "none"
+// step is one trial's access: the client issuing it (-1 for a
+// replayed step), its phase, the line (-1 when the scenario has no
+// address space), the virtual time (0 stamps wall-clock time), and the
+// fault to inject (nil for none).
+type step struct {
+	client int
+	phase  int
+	line   int
+	timeNs int64
+	fault  *FaultEnv
 }
 
-// --- decode worker state ----------------------------------------------------
-
-// decodeState is one worker's (or the sequential loop's) decode
-// machinery: scratch, recorder, the cached clean line, and the fault
-// injectors, all derived from the campaign seed alone so outcomes stay
-// independent of worker count.
-type decodeState struct {
-	scratch   *poly.Scratch
-	rec       *poly.AnomalyRecorder
-	data      [poly.LineBytes]byte
-	clean     dram.Burst
-	g         dram.WordGeometry
-	injectors []faults.Injector
-	named     map[string]faults.Injector
-	lat       *workerLat
-}
-
-func newDecodeState(j *telemetry.Journal, source string, code *poly.Code, seed int64, modelNames []string) *decodeState {
-	rec := poly.NewAnomalyRecorder(j, source, code)
-	ws := &decodeState{scratch: rec.Code().NewScratch(), rec: rec}
-	rand.New(rand.NewSource(seed)).Read(ws.data[:])
-	ws.clean = rec.Code().ToBurst(rec.Code().EncodeLineScratch(&ws.data, ws.scratch))
-	ws.g = dram.WordGeometry{SymbolBits: code.Geometry().SymbolBits}
-	ws.injectors = faults.InModel(ws.g)
-	if len(modelNames) > 0 {
-		ws.named = make(map[string]faults.Injector, len(modelNames))
-		for _, name := range modelNames {
-			inj, err := faults.New(name, ws.g)
-			if err != nil {
-				// Validate() vetted every model name; a miss here is a bug.
-				panic(err)
-			}
-			ws.named[name] = inj
-		}
+// next supplies trial k's step. A replay reads its recorded step and
+// draws nothing. A drawn trial picks its client (its block, or a
+// fraction-weighted draw), its arrival time, its line, and whether its
+// fault environment fires, in that order, from r, and counts the
+// client in tl. arrive, set by the virtual-clock driver, advances the
+// clock for the chosen client; without it a trial is stamped from its
+// index.
+func (p *plan) next(k int, r *rand.Rand, tl tally, arrive func(ci int) int64) step {
+	if p.replay != nil {
+		return p.replay[k]
 	}
-	return ws
-}
-
-// applyFault materializes a fault environment onto the burst, returning
-// the injected-model label for the journal.
-func (ws *decodeState) applyFault(r *rand.Rand, env *FaultEnv, burst *dram.Burst) string {
-	switch env.Kind {
-	case "in-model":
-		inj := ws.injectors[r.Intn(len(ws.injectors))]
-		inj.Inject(r, burst)
-		return inj.Name()
-	case "model":
-		inj := ws.named[env.Model]
-		inj.Inject(r, burst)
-		return inj.Name()
-	case "rowhammer":
-		mask := rowhammer.New(r.Int63(), ws.g).Next()
-		burst.Xor(&mask)
-		return "rowhammer"
+	s := p.spec
+	st := step{phase: p.phaseIdx(k)}
+	if s.Selection == "block" {
+		st.client = p.blockClient(k)
+	} else {
+		st.client = p.pickClient(r, &p.phases[st.phase])
 	}
-	return ""
+	if p.labels != nil {
+		tl.Record(p.labels[st.client])
+	}
+	if arrive != nil {
+		st.timeNs = arrive(st.client)
+	} else if s.TickNs > 0 {
+		st.timeNs = virtualT0 + int64(k+1)*s.TickNs
+	}
+	st.line = p.drawLine(r, st.client)
+	env := p.envAt(st.client, k)
+	if env != nil && env.Kind != "" && env.Kind != "none" &&
+		(env.Rate <= 0 || env.Rate >= 1 || r.Float64() < env.Rate) {
+		st.fault = env
+	}
+	return st
 }
 
-// resolveCode builds the Polymorphic instance a decode scenario runs:
-// Opts.Code when pre-built (the shape the shared -code flag resolver
-// hands a command), the spec's registry name otherwise.
-func resolveCode(s *Spec, opts Opts) (linecode.Code, *poly.Code, error) {
-	lc := opts.Code
+// tally receives a trial's outcome labels: the campaign trial's own
+// counters, or the virtual-clock driver's run totals.
+type tally interface {
+	Record(label string)
+	Add(label string, n int64)
+}
+
+// counts is the virtual-clock driver's tally.
+type counts map[string]int64
+
+func (c counts) Record(label string)       { c[label]++ }
+func (c counts) Add(label string, n int64) { c[label] += n }
+
+// modelLabels are the per-model correction labels, built once so no
+// trial concatenates one.
+var modelLabels = func() map[poly.FaultModel]string {
+	m := make(map[poly.FaultModel]string, len(poly.DefaultModels))
+	for _, fm := range poly.DefaultModels {
+		m[fm] = "model." + fm.String()
+	}
+	return m
+}()
+
+// --- the trial pipeline -----------------------------------------------------
+
+// lane is the decode state of one codec: the code and its anomaly
+// recorder, a scratch, the clean line every trial starts from, the
+// working burst faults land in (kept here so handing it to an injector
+// allocates nothing), and the fault injectors keyed by spec model name
+// and by display name (the name a journal records, which a replay
+// re-injects by). The campaign driver builds one per worker, the
+// virtual-clock driver one per codec on the controller's migration
+// ladder; every lane's line derives from the scenario seed alone, so
+// outcomes never depend on which lane ran a trial.
+type lane struct {
+	base    *poly.Code // instrumented code in its configured model order
+	journal *telemetry.Journal
+	source  string
+	rec     *poly.AnomalyRecorder
+	scratch *poly.Scratch
+	data    [poly.LineBytes]byte
+	clean   dram.Burst
+	burst   dram.Burst
+	g       dram.WordGeometry
+	inModel []faults.Injector
+	byName  map[string]faults.Injector
+	lat     *workerLat
+	gen     int // the controller order generation rec's code follows
+}
+
+// resolveCode builds the Polymorphic instance a lane decodes with: pre
+// when already built (Opts.Code, the shape the shared -code flag
+// resolver hands a command), the registry name otherwise; capped at
+// decodeMaxIterations and carrying the run's decode metrics.
+func resolveCode(s *Spec, name string, pre linecode.Code, m *telemetry.DecodeMetrics) (linecode.Code, *poly.Code, error) {
+	lc := pre
 	if lc == nil {
-		built, err := linecode.New(s.Code)
+		built, err := linecode.New(name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -391,117 +447,163 @@ func resolveCode(s *Spec, opts Opts) (linecode.Code, *poly.Code, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("scenario %q: decode scenarios need a Polymorphic code, got %s", s.Name, lc.Name())
 	}
-	return lc, p.C.WithMaxIterations(decodeMaxIterations).WithMetrics(opts.Metrics), nil
+	return lc, p.C.WithMaxIterations(decodeMaxIterations).WithMetrics(m), nil
 }
 
-// --- the parallel decode engine ---------------------------------------------
+// newLane builds a lane over code in its configured model order.
+func newLane(s *Spec, j *telemetry.Journal, code *poly.Code, models []string, lat *workerLat) *lane {
+	l := &lane{base: code, journal: j, source: s.Name, lat: lat}
+	l.g = dram.WordGeometry{SymbolBits: code.Geometry().SymbolBits}
+	l.inModel = faults.InModel(l.g)
+	l.byName = make(map[string]faults.Injector, len(l.inModel)+len(models))
+	for _, inj := range l.inModel {
+		l.byName[inj.Name()] = inj
+	}
+	for _, name := range models {
+		inj, err := faults.New(name, l.g)
+		if err != nil {
+			// Validate() vetted every model name; a miss here is a bug.
+			panic(err)
+		}
+		l.byName[name] = inj
+	}
+	rand.New(rand.NewSource(s.Seed)).Read(l.data[:])
+	l.reorder(nil)
+	return l
+}
 
-// runDecode executes a decode-kind spec on the campaign engine: trials
-// sharded across workers with per-trial splitmix64 RNG, checkpoint/
-// resume, panic isolation — bit-identical counts at any worker count.
-func runDecode(ctx context.Context, s *Spec, opts Opts) (*Result, error) {
-	lc, code, err := resolveCode(s, opts)
+// reorder points the lane at its base code with the decided models
+// tried first and the rest in their configured order (WithModels shares
+// the hint tables, so this is cheap), and rebuilds the recorder,
+// scratch and clean line over it.
+func (l *lane) reorder(decided []poly.FaultModel) {
+	code := l.base
+	if len(decided) > 0 {
+		have := code.Models()
+		order := make([]poly.FaultModel, 0, len(have))
+		for _, m := range decided {
+			if slices.Contains(have, m) {
+				order = append(order, m)
+			}
+		}
+		for _, m := range have {
+			if !slices.Contains(order, m) {
+				order = append(order, m)
+			}
+		}
+		reordered, err := code.WithModels(order)
+		if err != nil {
+			// order holds exactly the code's own models; a miss is a bug.
+			panic(err)
+		}
+		code = reordered
+	}
+	l.rec = poly.NewAnomalyRecorder(l.journal, l.source, code)
+	l.scratch = l.rec.Code().NewScratch()
+	l.clean = l.rec.Code().ToBurst(l.rec.Code().EncodeLineScratch(&l.data, l.scratch))
+}
+
+// apply injects one fault into the working burst and returns the
+// journal label of what it injected. A replayed model the lane has no
+// injector for (one outside the in-model set, such as RandomBits)
+// leaves the line as it is and is counted, never silently modeled as
+// something else.
+func (l *lane) apply(tl tally, r *rand.Rand, env *FaultEnv) string {
+	var inj faults.Injector
+	switch env.Kind {
+	case "rowhammer":
+		mask := rowhammer.New(r.Int63(), l.g).Next()
+		l.burst.Xor(&mask)
+		return "rowhammer"
+	case "in-model":
+		inj = l.inModel[r.Intn(len(l.inModel))]
+	default:
+		if inj = l.byName[env.Model]; inj == nil {
+			tl.Record("replay.unmodeled")
+			return ""
+		}
+	}
+	inj.Inject(r, &l.burst)
+	return inj.Name()
+}
+
+// decode runs the working burst through Algorithm 2, classifies the
+// outcome into tl, attributes its latency to the step's client and
+// phase, and journals it when anomalous.
+func (l *lane) decode(tl tally, st *step, worker int, injected string) {
+	code := l.rec.Code()
+	rl := code.FromBurstScratch(&l.burst, l.scratch)
+	got, rep := code.DecodeLineScratch(rl, l.scratch)
+	l.lat.observe(st, rep.Elapsed)
+	tl.Add("iterations", int64(rep.Iterations))
+	sdc := false
+	switch rep.Status {
+	case poly.StatusClean:
+		tl.Record("clean")
+	case poly.StatusCorrected:
+		tl.Record("corrected")
+		tl.Record(modelLabels[rep.Model])
+		if got != l.data {
+			sdc = true
+			tl.Record("sdc")
+		}
+	case poly.StatusUncorrectable:
+		tl.Record("due")
+	}
+	l.rec.RecordDecode(rl, &rep, telemetry.Event{Worker: worker, Index: st.line, TimeNs: st.timeNs}, injected, sdc)
+}
+
+// --- the campaign driver ----------------------------------------------------
+
+// runCampaign runs a plan on the campaign engine: trials sharded across
+// workers with per-trial splitmix64 RNG, checkpoint/resume, panic
+// isolation — bit-identical counts at any worker count.
+func runCampaign(ctx context.Context, p *plan, opts Opts) (*Result, error) {
+	s := p.spec
+	lc, code, err := resolveCode(s, s.Code, opts.Code, opts.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	p := newPlan(s)
-	multi := len(s.Clients) > 1
-	coll := latCollector(s, opts)
-	var clocks []phaseClock
-	if coll != nil {
-		clocks = make([]phaseClock, len(p.phases))
-	}
-
+	lat := newRunLat(s, opts, p)
 	cfg := opts.config(s.Name, s.Trials, s.Seed, "sdc", "due", "panic")
 	cfg.WorkerState = func() any {
+		wl := lat.worker(p)
 		wcode := code
-		if coll != nil {
+		if wl != nil {
 			// Per-worker probe: every decode/encode of this worker lands
 			// in its own uncontended stripes on the shared collector.
-			wcode = code.WithLatency(coll.Probe())
+			wcode = code.WithLatency(wl.probe)
 		}
-		ws := newDecodeState(opts.Journal, s.Name, wcode, s.Seed, p.models)
-		if coll != nil {
-			ws.lat = newWorkerLat(coll, s, p)
-		}
-		return ws
+		return newLane(s, opts.Journal, wcode, p.models, wl)
 	}
 	res, err := campaign.Run(ctx, cfg, func(t *campaign.Trial) {
-		ws := t.Local.(*decodeState)
-		r := t.RNG
-		pi := p.phaseIdx(t.Index)
-		var ci int
-		if s.Selection == "block" {
-			ci = p.blockClient(t.Index)
-		} else {
-			ci = p.pickClient(r, &p.phases[pi])
+		l := t.Local.(*lane)
+		st := p.next(t.Index, t.RNG, t, nil)
+		if st.line < 0 {
+			st.line = t.Index // no address space: journal the trial index
 		}
-		if multi {
-			t.Record("client." + s.Clients[ci].Name)
-		}
-		burst := ws.clean
-		line := p.drawLine(r, ci)
-		env := p.envAt(ci, t.Index)
+		l.burst = l.clean
 		injected := ""
-		if fire := envActive(env); fire {
-			if env.Rate > 0 && env.Rate < 1 {
-				fire = r.Float64() < env.Rate
-			}
-			if fire {
-				injected = ws.applyFault(r, env, &burst)
-			}
+		if st.fault != nil {
+			injected = l.apply(t, t.RNG, st.fault)
 		}
-		wcode := ws.rec.Code()
-		rl := wcode.FromBurstScratch(&burst, ws.scratch)
-		got, rep := wcode.DecodeLineScratch(rl, ws.scratch)
-		if ws.lat != nil {
-			// rep.Elapsed is stamped because the latency probe makes the
-			// code instrumented; attribution consumes no randomness.
-			ws.lat.clients[ci].Observe(rep.Elapsed)
-			ws.lat.phases[pi].Observe(rep.Elapsed)
-			clocks[pi].stamp(time.Now().UnixNano())
-		}
-		t.Add("iterations", int64(rep.Iterations))
-		sdc := false
-		switch rep.Status {
-		case poly.StatusClean:
-			t.Record("clean")
-		case poly.StatusCorrected:
-			t.Record("corrected")
-			t.Record("model." + rep.Model.String())
-			if got != ws.data {
-				sdc = true
-				t.Record("sdc")
-			}
-		case poly.StatusUncorrectable:
-			t.Record("due")
-		}
-		base := telemetry.Event{Worker: t.Worker, Index: t.Index}
-		if line >= 0 {
-			base.Index = line
-		}
-		if s.TickNs > 0 {
-			base.TimeNs = virtualT0 + int64(t.Index+1)*s.TickNs
-		}
-		ws.rec.RecordDecode(rl, &rep, base, injected, sdc)
+		l.decode(t, &st, t.Worker, injected)
 	})
-	out := &Result{
+	return &Result{
 		Spec:         s,
 		Campaign:     res,
 		AggressorRow: p.aggr,
+		Schedule:     p.schedule,
 		CodeLabel:    fmt.Sprintf("%s (M=%d)", lc.Name(), code.M()),
-	}
-	if coll != nil {
-		out.Latency = latDigest(coll, phaseWall(clocks, p))
-	}
-	return out, err
+		Latency:      lat.digest(p),
+	}, err
 }
 
 // --- derived summaries ------------------------------------------------------
 
-// DecodeSummary is the outcome digest of a decode (or replay) scenario.
-// Its fields mirror the legacy in-model soak result, plus the scenario
-// extras (per-client counts, the aggressor row).
+// DecodeSummary is the outcome digest of a decode (or replay) scenario:
+// the in-model soak's outcome counts plus the scenario extras
+// (per-client counts, the aggressor row).
 type DecodeSummary struct {
 	Code          string // display name of the decoded scheme
 	Trials        int    // requested budget

@@ -7,86 +7,82 @@ import (
 	"polyecc/internal/latency"
 )
 
-// latCollector resolves the run's latency collector: a caller-supplied
+// runLat is one run's latency state: the collector and the wall-clock
+// window each phase's decodes spanned. A nil *runLat is the disabled
+// state.
+type runLat struct {
+	coll   *latency.Collector
+	clocks []phaseClock
+}
+
+// newRunLat resolves the run's latency collector: a caller-supplied
 // Opts.Latency wins (the -latency flag shape, where the collector is
 // also published and served); a spec latency stanza without one gets a
 // private collector so the digest still lands in the result.
-func latCollector(s *Spec, opts Opts) *latency.Collector {
-	if opts.Latency != nil {
-		return opts.Latency
+func newRunLat(s *Spec, opts Opts, p *plan) *runLat {
+	coll := opts.Latency
+	if coll == nil && s.Latency != nil && s.Latency.Enabled {
+		coll = latency.NewCollector()
 	}
-	if s.Latency != nil && s.Latency.Enabled {
-		return latency.NewCollector()
+	if coll == nil {
+		return nil
 	}
-	return nil
+	return &runLat{coll: coll, clocks: make([]phaseClock, len(p.phases))}
 }
 
-// workerLat is one campaign worker's latency handles: private stripes
-// on the per-client and per-phase histograms, indexed by the plan's
-// client and phase positions so the hot path is two slice lookups and
-// two uncontended atomic observes — no RNG consumed, so outcome counts
-// stay bit-identical at any worker count.
+// digest assembles the result digest; nil when latency is off.
+func (rl *runLat) digest(p *plan) *LatencyDigest {
+	if rl == nil {
+		return nil
+	}
+	return latDigest(rl.coll, phaseWall(rl.clocks, p))
+}
+
+// workerLat is one goroutine's latency handles: a probe for its codes
+// and private stripes on the per-client and per-phase histograms,
+// indexed by the plan's client and phase positions, so attribution is
+// two slice lookups and two uncontended atomic observes — no RNG
+// consumed, so outcome counts stay bit-identical at any worker count.
+// A nil *workerLat discards everything.
 type workerLat struct {
+	probe   *latency.Probe
 	clients []*latency.Stripe
 	phases  []*latency.Stripe
+	clocks  []phaseClock
 }
 
-func newWorkerLat(coll *latency.Collector, s *Spec, p *plan) *workerLat {
+func (rl *runLat) worker(p *plan) *workerLat {
+	if rl == nil {
+		return nil
+	}
+	s := p.spec
 	wl := &workerLat{
+		probe:   rl.coll.Probe(),
 		clients: make([]*latency.Stripe, len(s.Clients)),
 		phases:  make([]*latency.Stripe, len(p.phases)),
+		clocks:  rl.clocks,
 	}
 	for i := range s.Clients {
-		wl.clients[i] = coll.Client(s.Clients[i].Name).Handle()
+		wl.clients[i] = rl.coll.Client(s.Clients[i].Name).Handle()
 	}
 	for i := range p.phases {
-		wl.phases[i] = coll.Phase(p.phases[i].name).Handle()
+		wl.phases[i] = rl.coll.Phase(p.phases[i].name).Handle()
 	}
 	return wl
 }
 
-// seqLat is the sequential loop's latency state: one probe (a single
-// goroutine needs no striping) plus cached per-client and per-phase
-// histograms so the per-trial cost is map-free after the first access.
-// A nil *seqLat discards everything — the disabled state.
-type seqLat struct {
-	coll    *latency.Collector
-	probe   *latency.Probe
-	clients map[string]*latency.Hist
-	phases  map[string]*latency.Hist
-}
-
-func newSeqLat(coll *latency.Collector) *seqLat {
-	if coll == nil {
-		return nil
-	}
-	return &seqLat{
-		coll: coll, probe: coll.Probe(),
-		clients: map[string]*latency.Hist{},
-		phases:  map[string]*latency.Hist{},
-	}
-}
-
-// observe attributes one decode's elapsed time to its client (when
-// named) and phase.
-func (l *seqLat) observe(client, phase string, d time.Duration) {
-	if l == nil {
+// observe attributes one decode's elapsed time (stamped because the
+// probe instruments the code) to its client, when it has one, and its
+// phase, and widens the phase's wall-clock window.
+func (wl *workerLat) observe(st *step, d time.Duration) {
+	if wl == nil {
 		return
 	}
-	if client != "" {
-		h := l.clients[client]
-		if h == nil {
-			h = l.coll.Client(client)
-			l.clients[client] = h
-		}
-		h.Observe(d)
+	if st.client >= 0 {
+		wl.clients[st.client].Observe(d)
 	}
-	h := l.phases[phase]
-	if h == nil {
-		h = l.coll.Phase(phase)
-		l.phases[phase] = h
-	}
-	h.Observe(d)
+	wl.phases[st.phase].Observe(d)
+	wl.clocks[st.phase].stamp(time.Now().UnixNano())
 }
 
 // phaseClock tracks the wall-clock window of one phase's trials across

@@ -11,9 +11,8 @@ import (
 // Opts are the operator knobs shared by every scenario run — the
 // cmd/faultinject -workers, -checkpoint, -checkpoint-every, and -resume
 // flags. This is the one place workers/timeout/checkpoint/journal
-// wiring exists; internal/exp's CampaignOpts is an alias of it and
-// every driver (preset or user spec) flows through config() below. The
-// zero value runs in-memory with GOMAXPROCS workers.
+// wiring exists; every run (preset or user spec) flows through config()
+// below. The zero value runs in-memory with GOMAXPROCS workers.
 type Opts struct {
 	// Workers is the concurrent trial goroutine count (default
 	// GOMAXPROCS). Sequential scenarios (memctl/scrub/standing faults)
@@ -27,12 +26,9 @@ type Opts struct {
 	// Resume restarts from CheckpointPath, skipping completed trials.
 	Resume bool
 	// Journal, when non-nil, is the flight recorder: worker shard spans,
-	// notable trial outcomes (JournalOutcomes), and — for decode
-	// scenarios — full decode-anomaly records with the candidate trail.
+	// notable trial outcomes, and — for decode scenarios — full
+	// decode-anomaly records with the candidate trail.
 	Journal *telemetry.Journal
-	// JournalOutcomes overrides the per-kind default filter for which
-	// trial outcome labels are journaled (substring match).
-	JournalOutcomes []string
 	// Manifest, when non-nil, stamps every checkpoint with the run's
 	// provenance.
 	Manifest *telemetry.Manifest
@@ -60,13 +56,9 @@ type Opts struct {
 }
 
 // config assembles the campaign.Config for one scenario, wiring the
-// shared faultinject telemetry in. defaultOutcomes is the kind's
-// journal-worthy label set, used unless the caller overrides it.
-func (o Opts) config(name string, trials int, seed int64, defaultOutcomes ...string) campaign.Config {
-	outcomes := o.JournalOutcomes
-	if outcomes == nil {
-		outcomes = defaultOutcomes
-	}
+// shared faultinject telemetry in. outcomes is the kind's
+// journal-worthy label set (substring match).
+func (o Opts) config(name string, trials int, seed int64, outcomes ...string) campaign.Config {
 	return campaign.Config{
 		Name:            name,
 		Trials:          trials,

@@ -10,9 +10,8 @@ import (
 )
 
 // Render formats the run for the terminal: a kind-appropriate outcome
-// table plus the scenario digest. The legacy drivers keep their exact
-// legacy renderers (internal/exp); this generic form serves -spec runs
-// and replays.
+// table plus the scenario digest, for presets, -spec runs and replays
+// alike.
 func (r *Result) Render() string {
 	switch r.Spec.Kind {
 	case KindPrograms:
@@ -85,7 +84,7 @@ func (r *Result) renderDecode() string {
 	if len(r.Schedule) > 0 {
 		out += fmt.Sprintf("replayed %d recorded anomalies\n", len(r.Schedule))
 	}
-	out += r.RenderLatency()
+	out += r.renderLatency()
 	return out
 }
 
@@ -122,6 +121,13 @@ func (r *Result) renderSeq() string {
 	if len(seq.ModelOrder) > 0 {
 		out += "decoder trial order: " + strings.Join(seq.ModelOrder, " > ") + "\n"
 	}
+	if len(seq.RetiredPages) > 0 {
+		pages := make([]string, len(seq.RetiredPages))
+		for i, p := range seq.RetiredPages {
+			pages[i] = fmt.Sprint(p)
+		}
+		out += "retired pages: " + strings.Join(pages, " ") + "\n"
+	}
 	for _, mig := range seq.Migrations {
 		out += fmt.Sprintf("region %d migrated to %s\n", mig.Region, mig.Codec)
 	}
@@ -134,14 +140,23 @@ func (r *Result) renderSeq() string {
 	if len(r.Schedule) > 0 {
 		out += fmt.Sprintf("replayed %d recorded anomalies\n", len(r.Schedule))
 	}
-	out += r.RenderLatency()
+	if r.Spec.Memctl != nil && r.Spec.Memctl.Enabled {
+		// The closed-loop verdict `make heal-smoke` greps for.
+		if seq.Healed {
+			out += fmt.Sprintf("SELF-HEAL OK: storm drove health to %s; the controller escalated the patrol, fenced the victim rows, and health recovered to %s\n",
+				strings.ToUpper(seq.StormWorst), strings.ToUpper(seq.FinalStatus))
+		} else {
+			out += fmt.Sprintf("SELF-HEAL INCOMPLETE: storm worst %s, final %s\n", seq.StormWorst, seq.FinalStatus)
+		}
+	}
+	out += r.renderLatency()
 	return out
 }
 
-// RenderLatency prints the run's latency digest: percentile lines per
+// renderLatency prints the run's latency digest: percentile lines per
 // decode-outcome class, then per client and per phase when recorded.
-// Empty without a digest, so preset renderers can append it blindly.
-func (r *Result) RenderLatency() string {
+// Empty without a digest.
+func (r *Result) renderLatency() string {
 	d := r.Latency
 	if d == nil {
 		return ""

@@ -1,16 +1,9 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"os"
 
-	"polyecc/internal/campaign"
-	"polyecc/internal/faults"
-	"polyecc/internal/health"
-	"polyecc/internal/poly"
-	"polyecc/internal/rowhammer"
 	"polyecc/internal/telemetry"
 )
 
@@ -60,16 +53,20 @@ func LoadScheduleFile(path string) ([]ReplayStep, error) {
 	return LoadSchedule(events), nil
 }
 
-// runReplay re-runs a recorded journal as a scenario: one trial per
+// replayPlan compiles a recorded journal into a plan: one step per
 // recorded anomaly, re-injecting the same fault model on the same line
-// with the same virtual timestamp. The schedule comes from
-// Opts.ReplayEvents when preloaded, else from Spec.Replay.Path. Replay
-// composes with everything the engine offers: checkpoint/resume
-// (trials shard like any campaign), the journal (the re-run records a
-// fresh anomaly stream to diff against the original), and — when the
-// spec enables memctl — the closed controller loop, re-driven by the
-// recorded fault sequence.
-func runReplay(ctx context.Context, s *Spec, opts Opts) (*Result, error) {
+// with the same virtual timestamp, all in one phase named "replay". The
+// schedule comes from Opts.ReplayEvents when preloaded, else from
+// Spec.Replay.Path. The steps feed whichever driver the spec selects,
+// so a replay composes with everything a drawn schedule does: the
+// campaign driver shards it across workers with per-step RNG from the
+// splitmix64 stream (bit-identical at any worker count, though not to
+// the original run's raw masks — replay pins model, line and time, not
+// bits) and checkpoints and resumes it; the journal records a fresh
+// anomaly stream to diff against the original; and a spec that enables
+// memctl re-drives the closed controller loop on the virtual-clock
+// driver from the recorded fault sequence.
+func replayPlan(s *Spec, opts Opts) (*plan, error) {
 	var schedule []ReplayStep
 	if len(opts.ReplayEvents) > 0 {
 		schedule = LoadSchedule(opts.ReplayEvents)
@@ -87,154 +84,24 @@ func runReplay(ctx context.Context, s *Spec, opts Opts) (*Result, error) {
 		return nil, fmt.Errorf("scenario %q: the recorded journal holds no decode anomalies to replay", s.Name)
 	}
 	s.Trials = len(schedule)
-
-	if s.Memctl != nil && s.Memctl.Enabled {
-		return replaySeq(ctx, s, opts, schedule)
+	p := &plan{
+		spec: s, aggr: -1, schedule: schedule,
+		// The one phase counts as the storm: the controller verdict reads
+		// the worst health the whole replay reached.
+		phases: []phaseSpan{{name: "replay", end: len(schedule), hammer: true}},
+		replay: make([]step, len(schedule)),
 	}
-	return replayCampaign(ctx, s, opts, schedule)
-}
-
-// replayCampaign shards the schedule across campaign workers: per-step
-// RNG comes from the campaign's splitmix64 stream, so the re-run is
-// bit-identical at any worker count (though not bit-identical to the
-// original run's raw masks — replay pins model/line/time, not bits).
-// Checkpoint/resume works exactly as for any campaign: a resumed
-// replay skips the steps already accounted for.
-func replayCampaign(ctx context.Context, s *Spec, opts Opts, schedule []ReplayStep) (*Result, error) {
-	lc, code, err := resolveCode(s, opts)
-	if err != nil {
-		return nil, err
+	hammer := &FaultEnv{Kind: "rowhammer"}
+	for i, rs := range schedule {
+		st := step{client: -1, line: rs.Line, timeNs: rs.TimeNs}
+		switch rs.Model {
+		case "":
+		case "rowhammer":
+			st.fault = hammer
+		default:
+			st.fault = &FaultEnv{Kind: "model", Model: rs.Model}
+		}
+		p.replay[i] = st
 	}
-	coll := latCollector(s, opts)
-	cfg := opts.config(s.Name, s.Trials, s.Seed, "sdc", "due", "panic")
-	cfg.WorkerState = func() any {
-		wcode := code
-		if coll != nil {
-			wcode = code.WithLatency(coll.Probe())
-		}
-		// Replay keys injectors by their recorded display name (the
-		// journal's Injected field), so the named map holds the in-model
-		// set under ChipKill/SSC/DEC/BF+BF/ChipKill+1.
-		ws := newDecodeState(opts.Journal, s.Name, wcode, s.Seed, nil)
-		ws.named = make(map[string]faults.Injector, len(ws.injectors))
-		for _, inj := range ws.injectors {
-			ws.named[inj.Name()] = inj
-		}
-		return ws
-	}
-	res, err := campaign.Run(ctx, cfg, func(t *campaign.Trial) {
-		ws := t.Local.(*decodeState)
-		step := &schedule[t.Index]
-		burst := ws.clean
-		injected := step.Model
-		switch {
-		case step.Model == "rowhammer":
-			mask := rowhammer.New(t.RNG.Int63(), ws.g).Next()
-			burst.Xor(&mask)
-		case step.Model != "":
-			if inj, ok := ws.named[step.Model]; ok {
-				inj.Inject(t.RNG, &burst)
-			} else {
-				// A model replay cannot re-materialize (e.g. recorded
-				// without provenance) leaves the line clean and is
-				// counted, never silently modeled as something else.
-				t.Record("replay.unmodeled")
-				injected = ""
-			}
-		}
-		rl := ws.rec.Code().FromBurstScratch(&burst, ws.scratch)
-		got, rep := ws.rec.Code().DecodeLineScratch(rl, ws.scratch)
-		t.Add("iterations", int64(rep.Iterations))
-		sdc := false
-		switch rep.Status {
-		case poly.StatusClean:
-			t.Record("clean")
-		case poly.StatusCorrected:
-			t.Record("corrected")
-			t.Record("model." + rep.Model.String())
-			if got != ws.data {
-				sdc = true
-				t.Record("sdc")
-			}
-		case poly.StatusUncorrectable:
-			t.Record("due")
-		}
-		ws.rec.RecordDecode(rl, &rep, telemetry.Event{
-			Worker: t.Worker, Index: step.Line, TimeNs: step.TimeNs,
-		}, injected, sdc)
-	})
-	out := &Result{
-		Spec:         s,
-		Campaign:     res,
-		Schedule:     schedule,
-		AggressorRow: -1,
-		CodeLabel:    fmt.Sprintf("%s (M=%d)", lc.Name(), code.M()),
-	}
-	if coll != nil {
-		out.Latency = latDigest(coll, nil)
-	}
-	return out, err
-}
-
-// replaySeq re-drives the closed memctl loop from a recorded fault
-// sequence: steps run in order on the recorded timestamps, fenced
-// lines are skipped like live accesses, and the controller sees the
-// fresh anomaly stream through the shared journal.
-func replaySeq(ctx context.Context, s *Spec, opts Opts, schedule []ReplayStep) (*Result, error) {
-	e, err := newSeqEngine(s, opts, nil, -1)
-	if err != nil {
-		return nil, err
-	}
-	defer e.close()
-	rng := rand.New(rand.NewSource(s.Seed))
-	ph := SeqPhase{Name: "replay", Trials: len(schedule)}
-	worst := health.StateOK
-	bail := func(err error) (*Result, error) {
-		e.endPhase(&ph, worst)
-		e.seq.StormWorst = worst.String()
-		out := e.finish(true, -1)
-		out.Schedule = schedule
-		return out, err
-	}
-	for i := range schedule {
-		if err := ctx.Err(); err != nil {
-			return bail(err)
-		}
-		step := &schedule[i]
-		now := step.TimeNs
-		if e.fenced(step.Line, now, &ph) {
-			e.trackHealth(&worst)
-			continue
-		}
-		cs, err := e.codecAt(step.Line)
-		if err != nil {
-			return bail(err)
-		}
-		burst := cs.clean
-		injected := step.Model
-		switch {
-		case step.Model == "rowhammer":
-			ph.Hammer++
-			e.counts["hammer"]++
-			mask := rowhammer.New(rng.Int63(), cs.g).Next()
-			burst.Xor(&mask)
-		case step.Model != "":
-			if inj, ok := cs.byDisplay[step.Model]; ok {
-				inj.Inject(rng, &burst)
-			} else {
-				e.counts["replay.unmodeled"]++
-				injected = ""
-			}
-		}
-		if e.ctl != nil {
-			e.ctl.Tick(now)
-		}
-		e.decode(cs, burst, &ph, "", step.Line, now, injected)
-		e.trackHealth(&worst)
-	}
-	e.endPhase(&ph, worst)
-	e.seq.StormWorst = worst.String()
-	out := e.finish(false, -1)
-	out.Schedule = schedule
-	return out, nil
+	return p, nil
 }

@@ -2,8 +2,13 @@ package scenario_test
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
+	"polyecc/internal/exp"
+	"polyecc/internal/memctl"
 	"polyecc/internal/scenario"
 	"polyecc/internal/telemetry"
 )
@@ -127,5 +132,97 @@ func TestReplayReproducesSchedule(t *testing.T) {
 	}
 	if byOrder != len(schedule) {
 		t.Fatalf("replay journaled %d anomalies, want one per scheduled step (%d)", byOrder, len(schedule))
+	}
+}
+
+// replayGolden pins one closed-loop replay: the whole sequential
+// trajectory plus the aggregate outcome counts.
+type replayGolden struct {
+	Steps  int                `json:"steps"`
+	Seq    scenario.SeqResult `json:"seq"`
+	Counts map[string]int64   `json:"counts"`
+}
+
+// TestMemctlReplayGolden pins the closed-loop replay (`faultinject
+// -replay events.jsonl -memctl`): a memctlsoak journal recorded at seed
+// 1 is re-driven through a fresh controller, and every phase tally,
+// policy action, migration and outcome count must match the recorded
+// golden bit for bit.
+func TestMemctlReplayGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the memctl soak is slow; skipped under -short")
+	}
+	buf, err := os.ReadFile("testdata/golden_replay_memctl.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want replayGolden
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	p, ok := scenario.LookupPreset("memctlsoak")
+	if !ok {
+		t.Fatal("preset memctlsoak missing")
+	}
+	s := p.Build()
+	s.Seed = 1
+	s.SetBudget(8000)
+	j := telemetry.NewJournal(1 << 15)
+	ctl, err := memctl.New(exp.MemctlSoakConfig(s.Code, j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scenario.Run(context.Background(), s, scenario.Opts{Journal: j, Controller: ctl}); err != nil {
+		t.Fatal(err)
+	}
+	if d := j.Dropped(); d != 0 {
+		t.Fatalf("recording journal dropped %d events", d)
+	}
+
+	spec := &scenario.Spec{Name: "replay", Kind: scenario.KindReplay,
+		Memctl: &scenario.MemctlSpec{Enabled: true, RegionLines: 64}}
+	rj := telemetry.NewJournal(1 << 15)
+	rctl, err := memctl.New(exp.MemctlSoakConfig("poly-m2005", rj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := scenario.Run(context.Background(), spec, scenario.Opts{
+		Journal: rj, Controller: rctl, ReplayEvents: j.Snapshot(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Seq == nil {
+		t.Fatal("closed-loop replay produced no sequential result")
+	}
+	got := replayGolden{Steps: len(res.Schedule), Seq: *res.Seq, Counts: res.Campaign.Counts}
+	if !reflect.DeepEqual(got, want) {
+		gotJSON, _ := json.MarshalIndent(&got, "", "  ")
+		t.Errorf("closed-loop replay diverged from golden:\n%s", gotJSON)
+	}
+}
+
+// TestReplayWorkerInvariance: a campaign replay shards its schedule
+// like any campaign, so its counts must not depend on the worker count.
+func TestReplayWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("storm recording is slow; skipped under -short")
+	}
+	events := recordStorm(t, 2000, 7)
+	var counts []map[string]int64
+	for _, workers := range []int{1, 8} {
+		spec := &scenario.Spec{Name: "replay-workers", Kind: scenario.KindReplay}
+		res, err := scenario.Run(context.Background(), spec, scenario.Opts{Workers: workers, ReplayEvents: events})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Campaign.Completed != len(res.Schedule) {
+			t.Fatalf("workers=%d: completed %d of %d steps", workers, res.Campaign.Completed, len(res.Schedule))
+		}
+		counts = append(counts, res.Campaign.Counts)
+	}
+	if !reflect.DeepEqual(counts[0], counts[1]) {
+		t.Fatalf("replay counts differ across worker counts:\n1: %v\n8: %v", counts[0], counts[1])
 	}
 }

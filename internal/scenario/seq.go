@@ -3,19 +3,18 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"polyecc/internal/campaign"
 	"polyecc/internal/dram"
-	"polyecc/internal/faults"
 	"polyecc/internal/health"
 	"polyecc/internal/linecode"
 	"polyecc/internal/memctl"
 	"polyecc/internal/poly"
-	"polyecc/internal/rowhammer"
 	"polyecc/internal/telemetry"
 )
 
@@ -61,293 +60,341 @@ type SeqResult struct {
 	ScrubFindings int `json:",omitempty"`
 }
 
-// seqCodec is the per-codec decode state of the sequential loop. Every
-// codec protects the same payload, so a region migration is just a
-// re-encode of the shared data under the next codec on the ladder.
-type seqCodec struct {
-	base      *poly.Code // instrumented base instance (default order)
-	rec       *poly.AnomalyRecorder
-	scratch   *poly.Scratch
-	orderKey  string
-	data      [poly.LineBytes]byte
-	clean     dram.Burst
-	g         dram.WordGeometry
-	injectors []faults.Injector
-	named     map[string]faults.Injector
-	byDisplay map[string]faults.Injector // in-model injectors keyed by display name, for replay
-}
+// vclock is the virtual-clock driver's state: one goroutine runs every
+// trial in order, so closed-loop memctl feedback, scrub patrols,
+// standing faults and non-uniform arrivals see globally ordered time.
+type vclock struct {
+	p         *plan
+	opts      Opts
+	rng       *rand.Rand
+	counts    counts
+	seq       *SeqResult
+	lanes     map[string]*lane // by codec registry name
+	lat       *runLat
+	wl        *workerLat // the loop's one set of latency handles, shared by every lane
+	now       int64
+	burstLeft []int // per-client arrivals left in the current gamma burst
 
-// seqEngine is the shared machinery of the single-threaded virtual-
-// clock runners (runSeq and the memctl replay): the codec ladder, the
-// controller feedback subscription, and the result assembly.
-type seqEngine struct {
-	s           *Spec
-	opts        Opts
+	// Standing faults persist on their line as XOR deltas against the
+	// clean burst until a patrol heals them.
+	standing   map[int]dram.Burst
+	scrubEvery int64
+	nextScrub  int64
+
 	ctl         *memctl.Controller
-	regionLines int
-	models      []string
-	codecs      map[string]*seqCodec
-	sole        *seqCodec
-	evbuf       []telemetry.Event
 	sub         *telemetry.Subscription
-	seq         *SeqResult
-	counts      map[string]int64
-	started     time.Time
-	lat         *seqLat
-	phStart     time.Time
-	phWall      map[string]float64 // phase name -> wall-clock ms
+	evbuf       []telemetry.Event
+	regionLines int
+	actions     int64    // controller actions seen by the last drain
+	order       []string // the controller's decided model order
+	gen         int      // bumped whenever order changes
 }
 
-func newSeqEngine(s *Spec, opts Opts, models []string, aggr int) (*seqEngine, error) {
-	j := opts.Journal
-	ctl := opts.Controller
+// runSeq runs a plan on the single-threaded virtual-clock driver. The
+// whole run — injected faults, health trajectory, controller actions —
+// is a pure function of the seed (and, for a replay, the recording).
+func runSeq(ctx context.Context, p *plan, opts Opts) (*Result, error) {
+	s := p.spec
+	e := &vclock{
+		p: p, opts: opts,
+		rng:         rand.New(rand.NewSource(s.Seed)),
+		counts:      counts{},
+		seq:         &SeqResult{Code: s.Code, Trials: s.Trials, AggressorRow: p.aggr},
+		lanes:       map[string]*lane{},
+		lat:         newRunLat(s, opts, p),
+		now:         virtualT0,
+		burstLeft:   make([]int, len(s.Clients)),
+		standing:    map[int]dram.Burst{},
+		regionLines: 64,
+	}
+	e.wl = e.lat.worker(p)
+	if s.Scrub != nil {
+		e.scrubEvery = s.Scrub.IntervalMs * int64(time.Millisecond)
+		e.nextScrub = virtualT0 + e.scrubEvery
+	}
 	if s.Memctl != nil && s.Memctl.Enabled {
-		if ctl == nil {
+		if opts.Controller == nil {
 			return nil, fmt.Errorf("scenario %q: memctl enabled but no controller supplied", s.Name)
 		}
-		if !j.Enabled() {
+		if !opts.Journal.Enabled() {
 			return nil, fmt.Errorf("scenario %q: the memctl loop needs a journal — the controller consumes it", s.Name)
 		}
-	} else {
-		ctl = nil // a stray controller without memctl in the spec stays out of the loop
-	}
-	e := &seqEngine{
-		s: s, opts: opts, ctl: ctl, regionLines: 64, models: models,
-		codecs:  map[string]*seqCodec{},
-		seq:     &SeqResult{Code: s.Code, Trials: s.Trials, AggressorRow: aggr},
-		counts:  map[string]int64{},
-		started: time.Now(),
-		lat:     newSeqLat(latCollector(s, opts)),
-		phStart: time.Now(),
-		phWall:  map[string]float64{},
-	}
-	if s.Memctl != nil && s.Memctl.RegionLines > 0 {
-		e.regionLines = s.Memctl.RegionLines
-	}
-	if ctl == nil {
-		lc := opts.Code
-		if lc == nil {
-			built, err := linecode.New(s.Code)
-			if err != nil {
-				return nil, err
-			}
-			lc = built
+		e.ctl = opts.Controller
+		if s.Memctl.RegionLines > 0 {
+			e.regionLines = s.Memctl.RegionLines
 		}
-		cs, err := e.buildCodec(lc)
-		if err != nil {
-			return nil, err
-		}
-		e.sole = cs
-	} else {
 		// Synchronous feedback: after every trial the subscription is
 		// drained to empty, so the controller has seen everything the
 		// trial journaled (and its own just-emitted actions) before the
 		// next access is decided.
-		e.sub = j.Subscribe(16384)
+		e.sub = opts.Journal.Subscribe(16384)
+		defer e.sub.Close()
 	}
-	return e, nil
-}
+	// The spec's own codec is built before the first trial, so a code
+	// that cannot run fails the call instead of a partial run.
+	if _, err := e.laneAt(0); err != nil {
+		return nil, err
+	}
 
-func (e *seqEngine) close() {
-	if e.sub != nil {
-		e.sub.Close()
-	}
-}
-
-// refresh re-applies the controller's decided trial order when it
-// changed: decided models the codec knows come first, the rest keep
-// their configured order (WithModels shares the hint tables, so this
-// is cheap). Without a controller the order never changes.
-func (e *seqEngine) refresh(cs *seqCodec) error {
-	key := ""
-	if e.ctl != nil {
-		key = strings.Join(e.ctl.ModelNames(), ",")
-	}
-	if cs.rec != nil && key == cs.orderKey {
-		return nil
-	}
-	cs.orderKey = key
-	code := cs.base
-	if e.ctl != nil {
-		if decided := e.ctl.Models(); len(decided) > 0 {
-			have := code.Models()
-			order := make([]poly.FaultModel, 0, len(have))
-			in := func(list []poly.FaultModel, m poly.FaultModel) bool {
-				for _, x := range list {
-					if x == m {
-						return true
-					}
-				}
-				return false
+	started := time.Now()
+	arrive := e.arrive
+	var stormWorst health.State
+	var err error
+	for pi := range p.phases {
+		span := &p.phases[pi]
+		from := maps.Clone(e.counts)
+		worst := health.StateOK
+		for k := span.start; k < span.end && err == nil; k++ {
+			if err = ctx.Err(); err == nil {
+				err = e.trial(k, arrive, &worst)
 			}
-			for _, m := range decided {
-				if in(have, m) {
-					order = append(order, m)
-				}
-			}
-			for _, m := range have {
-				if !in(order, m) {
-					order = append(order, m)
-				}
-			}
-			reordered, err := code.WithModels(order)
-			if err != nil {
-				return err
-			}
-			code = reordered
+		}
+		e.endPhase(span, from, worst)
+		if span.hammer && worst > stormWorst {
+			stormWorst = worst
+		}
+		if err != nil {
+			break
 		}
 	}
-	cs.rec = poly.NewAnomalyRecorder(e.opts.Journal, e.s.Name, code)
-	cs.scratch = cs.rec.Code().NewScratch()
-	cs.clean = cs.rec.Code().ToBurst(cs.rec.Code().EncodeLineScratch(&cs.data, cs.scratch))
+	return e.finish(started, stormWorst, err), err
+}
+
+// trial runs trial k: draw its step, run a patrol when one is due, then
+// fence or decode the access and feed the controller everything the
+// trial journaled.
+func (e *vclock) trial(k int, arrive func(ci int) int64, worst *health.State) error {
+	st := e.p.next(k, e.rng, e.counts, arrive)
+	if e.scrubEvery > 0 && st.timeNs >= e.nextScrub {
+		if err := e.patrol(st.timeNs); err != nil {
+			return err
+		}
+		e.nextScrub += ((st.timeNs-e.nextScrub)/e.scrubEvery + 1) * e.scrubEvery
+	}
+	if st.line < 0 {
+		st.line = 0 // the virtual clock always has an address: default to one line
+	}
+	// A drawn hammer access counts even when fenced; a replayed one only
+	// when its recorded fault is re-injected.
+	hammer := st.fault != nil && st.fault.Kind == "rowhammer"
+	if hammer && st.client >= 0 {
+		e.counts.Record("hammer")
+	}
+	if e.ctl != nil && e.ctl.Blocked(st.line) {
+		// A fenced access: time still passes, so releases and relaxes
+		// stay on schedule.
+		e.counts.Record("blocked")
+		e.ctl.Tick(st.timeNs)
+	} else {
+		if hammer && st.client < 0 {
+			e.counts.Record("hammer")
+		}
+		l, err := e.laneAt(st.line)
+		if err != nil {
+			return err
+		}
+		l.burst = l.clean
+		injected := ""
+		if delta, ok := e.standing[st.line]; ok {
+			l.burst.Xor(&delta)
+			injected = "standing"
+		}
+		if st.fault != nil {
+			injected = l.apply(e.counts, e.rng, st.fault)
+			if st.fault.Standing {
+				delta := l.burst
+				delta.Xor(&l.clean)
+				if delta == (dram.Burst{}) {
+					delete(e.standing, st.line)
+				} else {
+					e.standing[st.line] = delta
+				}
+			}
+		}
+		// The controller tick happens before the anomaly is recorded so
+		// the journal order matches the decision order: epoch-boundary
+		// pure decisions (releases, relaxes, migrations) are made before
+		// this trial's anomaly is observed, live and on replay alike.
+		if e.ctl != nil {
+			e.ctl.Tick(st.timeNs)
+		}
+		l.decode(e.counts, &st, 0, injected)
+	}
+	e.drain()
+	e.seq.Completed++
+	if e.ctl != nil {
+		if h := e.ctl.Health().State(); h > *worst {
+			*worst = h
+		}
+		if lvl := e.ctl.ScrubLevel(); lvl > e.seq.ScrubPeak {
+			e.seq.ScrubPeak = lvl
+		}
+	}
 	return nil
 }
 
-func (e *seqEngine) buildCodec(lc linecode.Code) (*seqCodec, error) {
-	pl, ok := lc.(linecode.Poly)
-	if !ok {
-		return nil, fmt.Errorf("scenario %q: sequential scenarios need Polymorphic codes, got %s", e.s.Name, lc.Name())
-	}
-	base := pl.C.WithMaxIterations(decodeMaxIterations).WithMetrics(e.opts.Metrics)
-	if e.lat != nil {
-		// One probe for the whole single-threaded loop; every codec on
-		// the migration ladder shares it, so op-class timings aggregate
-		// across codecs the way the outcome counts do.
-		base = base.WithLatency(e.lat.probe)
-	}
-	cs := &seqCodec{base: base}
-	cs.g = dram.WordGeometry{SymbolBits: cs.base.Geometry().SymbolBits}
-	cs.injectors = faults.InModel(cs.g)
-	cs.byDisplay = make(map[string]faults.Injector, len(cs.injectors))
-	for _, inj := range cs.injectors {
-		cs.byDisplay[inj.Name()] = inj
-	}
-	if len(e.models) > 0 {
-		cs.named = make(map[string]faults.Injector, len(e.models))
-		for _, name := range e.models {
-			inj, err := faults.New(name, cs.g)
-			if err != nil {
-				return nil, err
-			}
-			cs.named[name] = inj
+// arrive advances the virtual clock by client ci's arrival process.
+// Uniform consumes no randomness, keeping single-client and uniform
+// scenarios on the bare seeded stream.
+func (e *vclock) arrive(ci int) int64 {
+	cp := &e.p.clients[ci]
+	tick := e.p.spec.TickNs
+	switch a := cp.c.Arrival; {
+	case a == nil || a.Process == "" || a.Process == "uniform":
+		e.now += tick
+	case a.Process == "poisson":
+		gap := int64(e.rng.ExpFloat64() * float64(tick))
+		if gap < 1 {
+			gap = 1
 		}
+		e.now += gap
+	case a.Process == "gamma":
+		// Bursts of burstEvery arrivals packed at quarter-tick spacing,
+		// separated by exponential gaps with mean burstEvery ticks.
+		if e.burstLeft[ci] == 0 {
+			gap := int64(e.rng.ExpFloat64() * float64(tick) * float64(cp.burstEvery))
+			if gap < tick {
+				gap = tick
+			}
+			e.now += gap
+			e.burstLeft[ci] = cp.burstEvery
+		} else {
+			e.now += tick/4 + 1
+		}
+		e.burstLeft[ci]--
 	}
-	rand.New(rand.NewSource(e.s.Seed)).Read(cs.data[:])
-	return cs, e.refresh(cs)
+	return e.now
 }
 
-// codecAt resolves the codec protecting a line: the controller's
-// region assignment, or the single spec codec without one.
-func (e *seqEngine) codecAt(line int) (*seqCodec, error) {
-	if e.ctl == nil {
-		return e.sole, e.refresh(e.sole)
+// laneAt resolves the lane protecting a line — the controller's codec
+// for its region, or the spec's code without a controller — and brings
+// it up to the controller's decided model order. Every codec protects
+// the same payload, so a region migration is just a re-encode of the
+// shared data under the next codec on the ladder.
+func (e *vclock) laneAt(line int) (*lane, error) {
+	s := e.p.spec
+	name := s.Code
+	if e.ctl != nil {
+		name = e.ctl.CodecName(line / e.regionLines)
 	}
-	name := e.ctl.CodecName(line / e.regionLines)
-	if cs, ok := e.codecs[name]; ok {
-		return cs, e.refresh(cs)
+	l, ok := e.lanes[name]
+	if !ok {
+		var pre linecode.Code
+		if name == s.Code {
+			pre = e.opts.Code
+		}
+		_, code, err := resolveCode(s, name, pre, e.opts.Metrics)
+		if err != nil {
+			return nil, err
+		}
+		if e.wl != nil {
+			// One probe for the whole loop: every codec on the ladder
+			// shares it, so op-class timings aggregate across codecs the
+			// way the outcome counts do.
+			code = code.WithLatency(e.wl.probe)
+		}
+		l = newLane(s, e.opts.Journal, code, e.p.models, e.wl)
+		e.lanes[name] = l
 	}
-	lc, err := linecode.New(name)
-	if err != nil {
-		return nil, err
+	if l.gen != e.gen {
+		l.reorder(e.ctl.Models())
+		l.gen = e.gen
 	}
-	cs, err := e.buildCodec(lc)
-	if err != nil {
-		return nil, err
-	}
-	e.codecs[name] = cs
-	return cs, nil
+	return l, nil
 }
 
-func (e *seqEngine) drain() {
+// drain feeds the controller everything journaled since the last call,
+// its own just-emitted actions included, until the subscription is
+// empty. When the controller acted, it notes whether the decided model
+// order changed, so lanes re-apply an order only when there is a new
+// one.
+func (e *vclock) drain() {
 	if e.ctl == nil {
 		return
 	}
 	for {
 		e.evbuf = e.sub.Poll(e.evbuf[:0])
 		if len(e.evbuf) == 0 {
-			return
+			break
 		}
 		e.ctl.ObserveAll(e.evbuf)
 	}
-}
-
-// decode runs one access through the line's codec and classifies it
-// into the phase counters. The controller tick happens before the
-// anomaly is recorded so the journal order matches the decision order:
-// epoch-boundary pure decisions (releases, relaxes, migrations) are
-// made before this trial's anomaly is observed, live and on replay
-// alike.
-func (e *seqEngine) decode(cs *seqCodec, burst dram.Burst, ph *SeqPhase, client string, line int, now int64, injected string) {
-	wcode := cs.rec.Code()
-	rl := wcode.FromBurstScratch(&burst, cs.scratch)
-	got, rep := wcode.DecodeLineScratch(rl, cs.scratch)
-	e.lat.observe(client, ph.Name, rep.Elapsed)
-	e.counts["iterations"] += int64(rep.Iterations)
-	sdc := false
-	switch rep.Status {
-	case poly.StatusClean:
-		ph.Clean++
-		e.counts["clean"]++
-	case poly.StatusCorrected:
-		ph.Corrected++
-		e.counts["corrected"]++
-		e.counts["model."+rep.Model.String()]++
-		if got != cs.data {
-			sdc = true
-			ph.SDC++
-			e.counts["sdc"]++
+	if n := e.ctl.ActionsTotal(); n != e.actions {
+		e.actions = n
+		if order := e.ctl.ModelNames(); !slices.Equal(order, e.order) {
+			e.order = order
+			e.gen++
 		}
-	case poly.StatusUncorrectable:
-		ph.DUE++
-		e.counts["due"]++
-	}
-	cs.rec.RecordDecode(rl, &rep, telemetry.Event{Index: line, TimeNs: now}, injected, sdc)
-	e.drain()
-	e.seq.Completed++
-}
-
-// fenced handles a blocked access: time still passes, so releases and
-// relaxes stay on schedule. Reports whether the access was fenced.
-func (e *seqEngine) fenced(line int, now int64, ph *SeqPhase) bool {
-	if e.ctl == nil || !e.ctl.Blocked(line) {
-		return false
-	}
-	ph.Blocked++
-	e.counts["blocked"]++
-	e.seq.Completed++
-	e.ctl.Tick(now)
-	e.drain()
-	return true
-}
-
-func (e *seqEngine) trackHealth(worst *health.State) {
-	if e.ctl == nil {
-		return
-	}
-	if st := e.ctl.Health().State(); st > *worst {
-		*worst = st
-	}
-	if lvl := e.ctl.ScrubLevel(); lvl > e.seq.ScrubPeak {
-		e.seq.ScrubPeak = lvl
 	}
 }
 
-func (e *seqEngine) endPhase(ph *SeqPhase, worst health.State) {
-	ph.Worst = worst.String()
-	// Wall-clock stays off the trajectory struct: SeqResult must remain a
-	// pure function of the event stream (replay/equivalence pin it
-	// bit-for-bit). The digest carries the timing instead.
-	e.phWall[ph.Name] = float64(time.Since(e.phStart).Nanoseconds()) / 1e6
-	e.phStart = time.Now()
+// patrol sweeps the standing faults in line order at virtual time now:
+// a correctable line is written back healed, an uncorrectable one stays
+// until fenced, and every finding is journaled.
+func (e *vclock) patrol(now int64) error {
+	e.seq.ScrubSweeps++
+	lines := make([]int, 0, len(e.standing))
+	for line := range e.standing {
+		lines = append(lines, line)
+	}
+	sort.Ints(lines)
+	j := e.opts.Journal
+	for _, line := range lines {
+		l, err := e.laneAt(line)
+		if err != nil {
+			return err
+		}
+		l.burst = l.clean
+		delta := e.standing[line]
+		l.burst.Xor(&delta)
+		rl := l.rec.Code().FromBurstScratch(&l.burst, l.scratch)
+		_, rep := l.rec.Code().DecodeLineScratch(rl, l.scratch)
+		outcome := "corrected"
+		switch rep.Status {
+		case poly.StatusClean:
+			outcome = "clean"
+			delete(e.standing, line)
+		case poly.StatusCorrected:
+			delete(e.standing, line) // the patrol writes the corrected line back
+			e.seq.ScrubFindings++
+		case poly.StatusUncorrectable:
+			outcome = "due" // beyond repair: the fault stays until fenced
+			e.seq.ScrubFindings++
+		}
+		if j.Enabled() {
+			j.Record(telemetry.Event{
+				Kind: telemetry.KindScrubFinding, Source: e.p.spec.Name, Name: "scrub",
+				Index: line, Outcome: outcome, TimeNs: now,
+			})
+		}
+	}
+	return nil
+}
+
+// endPhase appends a phase's summary: its tallies are what its trials
+// added to the run counts. Wall-clock time stays off the trajectory
+// (the latency digest carries it), so SeqResult remains a pure function
+// of the event stream that replay and equivalence pin bit for bit.
+func (e *vclock) endPhase(span *phaseSpan, from counts, worst health.State) {
+	added := func(label string) int { return int(e.counts[label] - from[label]) }
+	ph := SeqPhase{
+		Name: span.name, Trials: span.end - span.start,
+		Hammer: added("hammer"), Blocked: added("blocked"),
+		Clean: added("clean"), Corrected: added("corrected"), DUE: added("due"), SDC: added("sdc"),
+		Worst: worst.String(),
+	}
 	if e.ctl != nil {
 		ph.End = e.ctl.Health().State().String()
 	}
-	e.seq.Phases = append(e.seq.Phases, *ph)
+	e.seq.Phases = append(e.seq.Phases, ph)
 }
 
-// finish assembles the Result; partial marks a cancelled run.
-func (e *seqEngine) finish(partial bool, aggr int) *Result {
+// finish assembles the Result; a non-nil err marks a partial run.
+func (e *vclock) finish(started time.Time, stormWorst health.State, err error) *Result {
+	s := e.p.spec
+	partial := err != nil
 	e.seq.Partial = partial
+	e.seq.StormWorst = stormWorst.String()
 	if e.ctl != nil {
 		snap := e.ctl.Snapshot()
 		e.seq.Actions = snap.ByKind
@@ -356,210 +403,21 @@ func (e *seqEngine) finish(partial bool, aggr int) *Result {
 		e.seq.Migrations = snap.Migrations
 		e.seq.FinalScrub = snap.ScrubInterval
 		e.seq.FinalStatus = e.ctl.Health().State().String()
-	}
-	res := campaign.Result{
-		Name: e.s.Name, Trials: e.s.Trials, Completed: e.seq.Completed,
-		Partial: partial, Elapsed: time.Since(e.started), Counts: e.counts,
-	}
-	out := &Result{Spec: e.s, Campaign: res, Seq: e.seq, AggressorRow: aggr, CodeLabel: e.s.Code}
-	if e.lat != nil {
-		out.Latency = latDigest(e.lat.coll, e.phWall)
-	}
-	return out
-}
-
-// runSeq executes a spec on the single-threaded virtual-clock loop:
-// closed-loop memctl feedback, scrub patrols, standing faults, and
-// non-uniform arrivals all need globally ordered time, which no worker
-// sharding can provide. The whole run — injected faults, health
-// trajectory, controller actions — is a pure function of the seed.
-func runSeq(ctx context.Context, s *Spec, opts Opts) (*Result, error) {
-	p := newPlan(s)
-	e, err := newSeqEngine(s, opts, p.models, p.aggr)
-	if err != nil {
-		return nil, err
-	}
-	defer e.close()
-	multi := len(s.Clients) > 1
-	rng := rand.New(rand.NewSource(s.Seed))
-	j := opts.Journal
-
-	// Standing faults persist on their line as XOR deltas against the
-	// clean burst until a patrol heals them.
-	standing := map[int]dram.Burst{}
-	scrubEvery := int64(0)
-	if s.Scrub != nil {
-		scrubEvery = s.Scrub.IntervalMs * int64(time.Millisecond)
-	}
-	nextScrub := virtualT0 + scrubEvery
-	patrol := func(now int64) error {
-		e.seq.ScrubSweeps++
-		lines := make([]int, 0, len(standing))
-		for line := range standing {
-			lines = append(lines, line)
-		}
-		sort.Ints(lines)
-		for _, line := range lines {
-			cs, err := e.codecAt(line)
-			if err != nil {
-				return err
-			}
-			burst := cs.clean
-			delta := standing[line]
-			burst.Xor(&delta)
-			rl := cs.rec.Code().FromBurstScratch(&burst, cs.scratch)
-			_, rep := cs.rec.Code().DecodeLineScratch(rl, cs.scratch)
-			outcome := "corrected"
-			switch rep.Status {
-			case poly.StatusClean:
-				outcome = "clean"
-				delete(standing, line)
-			case poly.StatusCorrected:
-				delete(standing, line) // the patrol writes the corrected line back
-				e.seq.ScrubFindings++
-			case poly.StatusUncorrectable:
-				outcome = "due" // beyond repair: the fault stays until fenced
-				e.seq.ScrubFindings++
-			}
-			if j.Enabled() {
-				j.Record(telemetry.Event{
-					Kind: telemetry.KindScrubFinding, Source: s.Name, Name: "scrub",
-					Index: line, Outcome: outcome, TimeNs: now,
-				})
-			}
-		}
-		return nil
-	}
-
-	// Per-client gamma-burst counters.
-	burstLeft := make([]int, len(s.Clients))
-
-	now := virtualT0
-	var stormWorst health.State
-	for pi := range p.phases {
-		span := &p.phases[pi]
-		ph := SeqPhase{Name: span.name, Trials: span.end - span.start}
-		worst := health.StateOK
-		for k := span.start; k < span.end; k++ {
-			if err := ctx.Err(); err != nil {
-				e.endPhase(&ph, worst)
-				return e.finish(true, p.aggr), err
-			}
-			ci := p.pickClient(rng, span)
-			// Advance the virtual clock by the client's arrival process.
-			// Uniform consumes no randomness, keeping single-client and
-			// uniform scenarios on the bare seeded stream.
-			cp := &p.clients[ci]
-			tick := s.TickNs
-			switch {
-			case cp.c.Arrival == nil || cp.c.Arrival.Process == "" || cp.c.Arrival.Process == "uniform":
-				now += tick
-			case cp.c.Arrival.Process == "poisson":
-				gap := int64(rng.ExpFloat64() * float64(tick))
-				if gap < 1 {
-					gap = 1
-				}
-				now += gap
-			case cp.c.Arrival.Process == "gamma":
-				// Bursts of burstEvery arrivals packed at quarter-tick
-				// spacing, separated by exponential gaps with mean
-				// burstEvery ticks.
-				if burstLeft[ci] == 0 {
-					gap := int64(rng.ExpFloat64() * float64(tick) * float64(cp.burstEvery))
-					if gap < tick {
-						gap = tick
-					}
-					now += gap
-					burstLeft[ci] = cp.burstEvery
-				} else {
-					now += tick/4 + 1
-				}
-				burstLeft[ci]--
-			}
-			if scrubEvery > 0 && now >= nextScrub {
-				if err := patrol(now); err != nil {
-					e.endPhase(&ph, worst)
-					return e.finish(true, p.aggr), err
-				}
-				for nextScrub <= now {
-					nextScrub += scrubEvery
-				}
-			}
-			if multi {
-				e.counts["client."+cp.c.Name]++
-			}
-			line := p.drawLine(rng, ci)
-			if line < 0 {
-				line = 0 // the sequential loop always has an address: default to one line
-			}
-			env := p.envAt(ci, k)
-			fire := envActive(env)
-			if fire && env.Rate > 0 && env.Rate < 1 {
-				fire = rng.Float64() < env.Rate
-			}
-			if fire && env.Kind == "rowhammer" {
-				ph.Hammer++
-				e.counts["hammer"]++
-			}
-			if e.fenced(line, now, &ph) {
-				e.trackHealth(&worst)
-				continue
-			}
-			cs, err := e.codecAt(line)
-			if err != nil {
-				e.endPhase(&ph, worst)
-				return e.finish(true, p.aggr), err
-			}
-			burst := cs.clean
-			injected := ""
-			if delta, ok := standing[line]; ok {
-				burst.Xor(&delta)
-				injected = "standing"
-			}
-			if fire {
-				switch env.Kind {
-				case "rowhammer":
-					mask := rowhammer.New(rng.Int63(), cs.g).Next()
-					burst.Xor(&mask)
-					injected = "rowhammer"
-				case "in-model":
-					inj := cs.injectors[rng.Intn(len(cs.injectors))]
-					inj.Inject(rng, &burst)
-					injected = inj.Name()
-				case "model":
-					inj := cs.named[env.Model]
-					inj.Inject(rng, &burst)
-					injected = inj.Name()
-				}
-				if env.Standing {
-					delta := burst
-					delta.Xor(&cs.clean)
-					if delta == (dram.Burst{}) {
-						delete(standing, line)
-					} else {
-						standing[line] = delta
-					}
-				}
-			}
-			if e.ctl != nil {
-				e.ctl.Tick(now)
-			}
-			e.decode(cs, burst, &ph, cp.c.Name, line, now, injected)
-			e.trackHealth(&worst)
-		}
-		e.endPhase(&ph, worst)
-		if span.hammer && worst > stormWorst {
-			stormWorst = worst
-		}
-	}
-
-	e.seq.StormWorst = stormWorst.String()
-	out := e.finish(false, p.aggr)
-	if e.ctl != nil {
-		e.seq.Healed = stormWorst >= health.StateWarn &&
+		e.seq.Healed = !partial && stormWorst >= health.StateWarn &&
 			e.ctl.Health().State() == health.StateOK &&
 			e.seq.Actions[memctl.ActionScrubEscalate] > 0 &&
 			e.seq.Actions[memctl.ActionQuarantine] > 0
 	}
-	return out, nil
+	return &Result{
+		Spec: s,
+		Campaign: campaign.Result{
+			Name: s.Name, Trials: s.Trials, Completed: e.seq.Completed,
+			Partial: partial, Elapsed: time.Since(started), Counts: e.counts,
+		},
+		Seq:          e.seq,
+		AggressorRow: e.p.aggr,
+		Schedule:     e.p.schedule,
+		CodeLabel:    s.Code,
+		Latency:      e.lat.digest(e.p),
+	}
 }

@@ -325,10 +325,14 @@ func (s *Spec) applyDefaults() {
 // Sequential reports whether the scenario must run on the single-
 // threaded virtual-clock loop: closed-loop memctl, scrub patrols,
 // standing faults, and non-uniform arrival processes all need globally
-// ordered time.
+// ordered time. A replay's clock is its recorded timestamps; only the
+// controller loop needs them in order.
 func (s *Spec) Sequential() bool {
 	if s.Memctl != nil && s.Memctl.Enabled {
 		return true
+	}
+	if s.Kind == KindReplay {
+		return false
 	}
 	if s.Scrub != nil {
 		return true
@@ -612,9 +616,9 @@ func (s *Spec) validatePhases() error {
 	return nil
 }
 
-// SetBudget scales the spec to n injections in the legacy flag sense:
-// per client for the block-stratified kinds (the -injections meaning of
-// -fig 4/5), total otherwise.
+// SetBudget scales the spec to a budget of n trials (the -n flag): per
+// client for the block-stratified kinds (the figure campaigns), total
+// otherwise.
 func (s *Spec) SetBudget(n int) {
 	if n <= 0 {
 		return

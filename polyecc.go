@@ -83,7 +83,7 @@ type (
 	// path performs no heap allocation. Build with Code.NewScratch.
 	Scratch = poly.Scratch
 	// Result pairs one decode's output with its input index — what
-	// Code.DecodeLines and the ParallelDecoder produce per line.
+	// Code.DecodeLines produces per line.
 	Result = poly.Result
 )
 

@@ -19,14 +19,49 @@
 # vectors), the packed hint tables bucket-identical to the map builder,
 # and the word-parallel wire layer bit-identical to the bitwise oracle.
 # `make fmt-check` fails on any file gofmt would change.
+# `make results-check` regenerates every results/ file that takes
+# seconds and fails on any byte that differs.
 # `make bench-compare OLD=old.json` prints the before/after table for a
 # perf PR.
 
 GO ?= go
 
-.PHONY: ci fmt-check build vet test race bench bench-snapshot bench-history bench-gate bench-compare fastpath-smoke smoke-campaign scrub-smoke report-smoke scenario-smoke health-smoke heal-smoke latency-smoke
+.PHONY: ci fmt-check build vet test race bench bench-snapshot bench-history bench-gate bench-compare fastpath-smoke smoke-campaign scrub-smoke report-smoke scenario-smoke health-smoke heal-smoke latency-smoke results-check
 
-ci: fmt-check vet build race fastpath-smoke smoke-campaign scrub-smoke bench-gate report-smoke scenario-smoke health-smoke heal-smoke latency-smoke
+ci: fmt-check vet build race fastpath-smoke smoke-campaign scrub-smoke bench-gate report-smoke scenario-smoke health-smoke heal-smoke latency-smoke results-check
+
+# Every results/ file that regenerates in seconds must match, byte for
+# byte, what the command EXPERIMENTS.md gives for it prints today (the
+# ten together take ~17 s on a 2-vCPU host once the tools are built).
+# results/figure4.txt is the one manual step: `faultinject -scenario
+# figure4 -n 1000` takes about 2 minutes.
+RES_DIR := $(shell mktemp -u -d /tmp/polyecc-results.XXXXXX)
+results-check:
+	@mkdir -p $(RES_DIR)
+	$(GO) build -o $(RES_DIR)/ ./cmd/profiler ./cmd/sdcprofiler ./cmd/faultinject ./cmd/tradeoff ./cmd/perfsim ./cmd/hwreport
+	@status=0; \
+	check() { \
+		f=$$1; shift; \
+		if ! $(RES_DIR)/"$$@" > $(RES_DIR)/$$f.txt 2>$(RES_DIR)/$$f.err; then \
+			echo "results-check: '$$*' failed:" >&2; tail -5 $(RES_DIR)/$$f.err >&2; status=1; \
+		elif ! cmp -s $(RES_DIR)/$$f.txt results/$$f.txt; then \
+			echo "results-check: results/$$f.txt differs from what '$$*' prints:" >&2; \
+			diff results/$$f.txt $(RES_DIR)/$$f.txt | head -20 >&2; status=1; \
+		fi; \
+	}; \
+	check table2 profiler -table 2 -trials 200000; \
+	check table3 profiler -table 3; \
+	check table4 profiler -table 4; \
+	check table5 sdcprofiler -table 5 -trials 5000 -dectrials 1000; \
+	check table5_rowhammer sdcprofiler -rowhammer -patterns 94892; \
+	check table6 hwreport -latency; \
+	check figure5 faultinject -scenario figure5 -n 2500; \
+	check figure7 tradeoff -min 9 -max 14; \
+	check figure10 sdcprofiler -fig10 -trials 300; \
+	check figure11 perfsim -refs 2000000; \
+	rm -rf $(RES_DIR); \
+	if [ $$status -ne 0 ]; then exit 1; fi
+	@echo "results-check: ten results files match their commands"
 
 # Differential proof that the candidate-free fast path (remainder->hint
 # tables + incremental MAC) decodes bit-identically to the legacy

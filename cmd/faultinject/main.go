@@ -22,8 +22,11 @@
 // With -metrics-addr the run is observable while in flight: the
 // campaign counters (faultinject.*, including
 // faultinject.campaign.{completed,panics,checkpoints}) and the decode
-// collectors (decode.*) are served at /debug/vars, and /debug/pprof
-// offers live CPU/heap profiles.
+// counters (decode.*: outcomes, per-model hits and trials, the
+// iteration histogram) are served at /debug/vars, and /debug/pprof
+// offers live CPU/heap profiles. Counting reads no clock; -latency is
+// the timing switch and adds the decode and encode time histograms
+// (latency.*, /latency).
 //
 // With -journal the run carries a flight recorder: worker shard spans,
 // notable trial outcomes, and the full forensic record of every

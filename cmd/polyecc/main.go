@@ -25,6 +25,7 @@ import (
 
 	"polyecc/internal/dram"
 	"polyecc/internal/faults"
+	"polyecc/internal/latency"
 	"polyecc/internal/linecode"
 	"polyecc/internal/poly"
 	"polyecc/internal/telemetry"
@@ -55,13 +56,17 @@ func main() {
 	}
 
 	// The Polymorphic codes expose the full iterative-correction surface;
-	// attach the demo's telemetry and trace hooks to it.
+	// attach the demo's telemetry and trace hooks to it, and a latency
+	// probe so the decode's elapsed time is measured (the probe is the
+	// decoder's only clock).
 	g := dram.WordGeometry{SymbolBits: 8}
 	var code *poly.Code
 	if p, ok := lc.(linecode.Poly); ok {
 		metrics := telemetry.NewDecodeMetrics()
 		metrics.Publish("decode")
-		code = p.C.WithMetrics(metrics)
+		lat := latency.NewCollector()
+		lat.Publish("latency")
+		code = p.C.WithMetrics(metrics).WithLatency(lat.Probe())
 		if obs.Verbose {
 			code = code.WithTrace(func(e poly.TraceEvent) {
 				logger.Debug("correction trial", "model", e.Model.String(),

@@ -187,8 +187,7 @@ func main() {
 			sdc++
 		}
 	}
-	fmt.Printf("\ntelemetry: decode latency samples=%d, correction-trial histogram %s\n",
-		metrics.Latency.Count(), metrics.Iterations.String())
+	fmt.Printf("\ntelemetry: correction-trial histogram %s\n", metrics.Iterations.String())
 	cq := lcoll.Op(latency.OpDecodeClean).Quantiles()
 	xq := lcoll.Op(latency.OpDecodeCorrected).Quantiles()
 	fmt.Printf("patrol decode latency (µs): clean p50=%.1f p99=%.1f (n=%d), corrected p50=%.1f p99=%.1f (n=%d)\n",

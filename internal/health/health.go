@@ -15,12 +15,15 @@
 // quiet.
 //
 // It is the controller-facing telemetry interface the adaptive
-// protection-policy engine (ROADMAP item 5) plugs into: Snapshot is the
-// machine-readable region/signature picture a policy controller would
-// act on.
+// protection-policy engine (internal/memctl) plugs into: Snapshot is the
+// full machine-readable region/signature picture, and Strongest and
+// HotRegions are the narrow reads a controller makes every decision
+// epoch.
 package health
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -299,32 +302,12 @@ func (e *Engine) Publish(prefix string) {
 // journal yields a no-op stop.
 func (e *Engine) Start(j *telemetry.Journal) (stop func()) {
 	sub := j.Subscribe(e.cfg.SubscriptionCap)
-	if sub == nil {
-		return func() {}
+	if sub != nil {
+		e.mu.Lock()
+		e.sub = sub
+		e.mu.Unlock()
 	}
-	e.mu.Lock()
-	e.sub = sub
-	e.mu.Unlock()
-	stopCh := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var buf []telemetry.Event
-		for {
-			select {
-			case <-stopCh:
-				e.ObserveAll(sub.Poll(buf[:0]))
-				return
-			case <-sub.C():
-				e.ObserveAll(sub.Poll(buf[:0]))
-			}
-		}
-	}()
-	return func() {
-		sub.Close()
-		close(stopCh)
-		<-done
-	}
+	return sub.Run(e.ObserveAll)
 }
 
 // ObserveAll feeds a batch of events through Observe.
@@ -566,23 +549,30 @@ func (e *Engine) now() int64 {
 	return n
 }
 
-// Snapshot returns the full current health picture. On a WallClock
-// engine it first advances evaluation to the machine clock, so rates
-// decay and alerts resolve even when events have stopped.
-func (e *Engine) Snapshot() Snapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// evalNowLocked runs the evaluation every read of the engine starts
+// with and returns the evaluation clock. Reads always evaluate: upgrades
+// are immediate even mid-bucket (a sub-second storm must page before its
+// first bucket boundary), while downgrade hold-down only advances with
+// completed buckets (evals), so polling cannot fast-forward the
+// hysteresis. Callers hold e.mu.
+func (e *Engine) evalNowLocked() int64 {
 	now := e.now()
-	// Always evaluate at snapshot time: upgrades are immediate even
-	// mid-bucket (a sub-second storm must page before its first bucket
-	// boundary), while downgrade hold-down only advances with completed
-	// buckets (evals), so polling cannot fast-forward the hysteresis.
 	evals := 0
 	if epoch := now / e.cfg.BucketNs; epoch > e.lastEvalEpoch {
 		evals = int(epoch - e.lastEvalEpoch)
 		e.lastEvalEpoch = epoch
 	}
 	e.evalLocked(now, evals)
+	return now
+}
+
+// Snapshot returns the full current health picture. On a WallClock
+// engine it first advances evaluation to the machine clock, so rates
+// decay and alerts resolve even when events have stopped.
+func (e *Engine) Snapshot() Snapshot {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	now := e.evalNowLocked()
 
 	snap := Snapshot{
 		NowNs:         now,
@@ -640,6 +630,51 @@ func (e *Engine) Snapshot() Snapshot {
 	}
 	snap.Alerts = append([]Alert(nil), e.alerts...)
 	return snap
+}
+
+// Strongest evaluates the engine exactly as Snapshot does and returns
+// the kind and count of the active signature with the highest count
+// among kinds; on equal counts the kind that sorts first wins. ok is
+// false when no signature of those kinds is active. It is the narrow
+// read a policy controller makes every decision epoch, without copying
+// and sorting the whole picture.
+func (e *Engine) Strongest(kinds ...string) (kind string, count int, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.evalNowLocked()
+	for _, s := range e.active {
+		if !slices.Contains(kinds, s.Kind) {
+			continue
+		}
+		if !ok || s.Count > count || (s.Count == count && s.Kind < kind) {
+			kind, count, ok = s.Kind, s.Count, true
+		}
+	}
+	return kind, count, ok
+}
+
+// RegionRate is one region's slow-window error rate (RegionStat.RateSlow).
+type RegionRate struct {
+	Region   int
+	RateSlow float64
+}
+
+// HotRegions evaluates the engine exactly as Snapshot does and appends
+// to dst, in region order, every region whose slow-window error rate is
+// at least minRate — the narrow read behind a controller's per-epoch
+// codec migration.
+func (e *Engine) HotRegions(dst []RegionRate, minRate float64) []RegionRate {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	now := e.evalNowLocked()
+	start := len(dst)
+	for region, rs := range e.regions {
+		if rate := rs.errWin.rate(now, e.cfg.WindowBuckets); rate >= minRate {
+			dst = append(dst, RegionRate{Region: region, RateSlow: rate})
+		}
+	}
+	slices.SortFunc(dst[start:], func(a, b RegionRate) int { return cmp.Compare(a.Region, b.Region) })
+	return dst
 }
 
 // overallLocked is the worst state across the SLO trackers.

@@ -1,6 +1,11 @@
 package health
 
 import (
+	"cmp"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -316,5 +321,120 @@ func TestMaxRegionsEvictionJournaled(t *testing.T) {
 	e.Observe(*evict)
 	if got := e.Snapshot().Classes["corrected"].Total; got != 4 {
 		t.Fatalf("corrected total after self-observe = %d, want 4", got)
+	}
+}
+
+// oldThreat is the strongest-threat walk a controller used to make over
+// a full Snapshot: the first signature of the two threat kinds with the
+// highest count in the Snapshot's sorted order.
+func oldThreat(snap Snapshot) (string, int, bool) {
+	var threat *Signature
+	for i := range snap.Signatures {
+		s := &snap.Signatures[i]
+		if s.Kind == "rowhammer-storm" || s.Kind == "repeat-offender" {
+			if threat == nil || s.Count > threat.Count {
+				threat = s
+			}
+		}
+	}
+	if threat == nil {
+		return "", 0, false
+	}
+	return threat.Kind, threat.Count, true
+}
+
+// The narrow reads must answer exactly what the Snapshot walks they
+// replace did and evaluate exactly as often: a twin engine read through
+// Snapshot at the same points agrees read for read and ends in the same
+// state.
+func TestNarrowReadsMatchSnapshot(t *testing.T) {
+	cfg := Config{RowhammerMin: 8, RepeatMin: 4, RegionLines: 16}
+	narrow, wide := New(cfg), New(cfg)
+	r := rand.New(rand.NewSource(3))
+	const minRate = 0.05
+	var hot []RegionRate
+	tNs := at(0)
+	seen := map[string]bool{}
+	for i := 0; i < 4000; i++ {
+		tNs += int64(r.Intn(300)) * int64(time.Millisecond)
+		var line int
+		switch k := r.Intn(10); {
+		case k < 3: // a storm around aggressor row 5
+			line = (4+2*r.Intn(2))*8 + r.Intn(8)
+		case k < 5: // a few repeat offenders
+			line = 500 + 100*r.Intn(3)
+		default:
+			line = r.Intn(4096)
+		}
+		ev := corrected(line, tNs)
+		if r.Intn(8) == 0 {
+			ev.Outcome = "uncorrectable"
+		}
+		narrow.Observe(ev)
+		wide.Observe(ev)
+		// The two reads run at independent points, as in the controller
+		// (threats on event epochs, migration on any clock advance).
+		if i%5 == 0 {
+			kind, count, ok := narrow.Strongest("rowhammer-storm", "repeat-offender")
+			wk, wc, wok := oldThreat(wide.Snapshot())
+			if kind != wk || count != wc || ok != wok {
+				t.Fatalf("event %d: Strongest = (%q, %d, %v), Snapshot walk = (%q, %d, %v)", i, kind, count, ok, wk, wc, wok)
+			}
+			seen[kind] = true
+		}
+		if i%3 != 0 {
+			continue
+		}
+		hot = narrow.HotRegions(hot[:0], minRate)
+		var want []RegionRate
+		for _, rs := range wide.Snapshot().Regions {
+			if rs.RateSlow >= minRate {
+				want = append(want, RegionRate{Region: rs.Region, RateSlow: rs.RateSlow})
+			}
+		}
+		if !slices.Equal(hot, want) {
+			t.Fatalf("event %d: HotRegions = %v, Snapshot walk = %v", i, hot, want)
+		}
+	}
+	if !seen["rowhammer-storm"] || !seen["repeat-offender"] || !seen[""] {
+		t.Fatalf("stream never exercised every answer: %v", seen)
+	}
+	a, b := narrow.Snapshot(), wide.Snapshot()
+	for _, s := range []*Snapshot{&a, &b} {
+		slices.SortFunc(s.Signatures, func(x, y Signature) int {
+			return cmp.Or(strings.Compare(x.Kind, y.Kind), cmp.Compare(x.Count, y.Count),
+				cmp.Compare(x.Row, y.Row), cmp.Compare(x.Line, y.Line), cmp.Compare(x.Region, y.Region))
+		})
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("engines diverged:\n narrow %+v\n wide   %+v", a, b)
+	}
+}
+
+// On equal counts the threat kind that sorts first wins, as in the
+// sorted Snapshot walk.
+func TestStrongestTieGoesToFirstKind(t *testing.T) {
+	e := New(Config{RowhammerMin: 8, RepeatMin: 4})
+	// A storm of 8 victim corrections around aggressor row 5...
+	for i := 0; i < 8; i++ {
+		e.Observe(corrected((4+2*(i%2))*8+i/2, at(float64(i)*0.1)))
+	}
+	// ...and a repeat offender with the same count.
+	for i := 0; i < 8; i++ {
+		e.Observe(corrected(800, at(1+float64(i)*0.1)))
+	}
+	if kind, count, ok := e.Strongest("rowhammer-storm", "repeat-offender"); !ok || kind != "repeat-offender" || count != 8 {
+		t.Fatalf("tie: got (%q, %d, %v), want repeat-offender 8", kind, count, ok)
+	}
+	wk, wc, _ := oldThreat(e.Snapshot())
+	if wk != "repeat-offender" || wc != 8 {
+		t.Fatalf("Snapshot walk on the tie: (%q, %d)", wk, wc)
+	}
+	e.Observe(corrected(4*8+7, at(2.5))) // the storm pulls ahead
+	if kind, count, _ := e.Strongest("rowhammer-storm", "repeat-offender"); kind != "rowhammer-storm" || count != 9 {
+		t.Fatalf("storm ahead: got (%q, %d)", kind, count)
+	}
+	if kind, _, ok := e.Strongest("scrub-recurrence"); ok {
+		t.Fatalf("no scrub finding, got %q", kind)
 	}
 }

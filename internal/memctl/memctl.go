@@ -19,8 +19,10 @@
 package memctl
 
 import (
+	"cmp"
 	"expvar"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -144,7 +146,9 @@ type Metrics struct {
 // pumping a journal subscription). All methods are safe for concurrent
 // use. The controller owns an embedded health engine — hosts attach the
 // controller itself as telemetry.Vitals, and must not Start a separate
-// engine on the same journal.
+// engine on the same journal. The controller reads the engine while
+// holding its own lock: the lock order is always controller then engine,
+// and the engine never calls back into the controller.
 type Controller struct {
 	cfg      Config
 	bucketNs int64
@@ -159,6 +163,8 @@ type Controller struct {
 	regionCodec     map[int]int  // region -> ladder index (absent = 0)
 	modelCounts     map[string]int64
 	modelOrder      []string
+	rank            []string            // desiredOrderLocked's reused ranking
+	hot             []health.RegionRate // pureEvalLocked's reused hot-region read
 	scrubLevel      int
 	lastThreatEpoch int64 // newest event-epoch with an active threat signature
 	lastRelaxEpoch  int64
@@ -235,30 +241,7 @@ func (c *Controller) Start(j *telemetry.Journal) (stop func()) {
 	if capacity <= 0 {
 		capacity = 8192
 	}
-	sub := j.Subscribe(capacity)
-	if sub == nil {
-		return func() {}
-	}
-	stopCh := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var buf []telemetry.Event
-		for {
-			select {
-			case <-stopCh:
-				c.ObserveAll(sub.Poll(buf[:0]))
-				return
-			case <-sub.C():
-				c.ObserveAll(sub.Poll(buf[:0]))
-			}
-		}
-	}()
-	return func() {
-		sub.Close()
-		close(stopCh)
-		<-done
-	}
+	return j.Subscribe(capacity).Run(c.ObserveAll)
 }
 
 // ObserveAll feeds a batch of events through Observe.
@@ -374,17 +357,7 @@ func (c *Controller) noteLineLocked(class health.Class, line int, tNs int64) {
 // accumulated evidence — event cadence is identical between a live run
 // and its replay, so this state stays bit-identical too.
 func (c *Controller) eventEvalLocked(epoch int64) {
-	snap := c.snapshotEngineLocked()
-	var threat *health.Signature
-	for i := range snap.Signatures {
-		s := &snap.Signatures[i]
-		if s.Kind == "rowhammer-storm" || s.Kind == "repeat-offender" {
-			if threat == nil || s.Count > threat.Count {
-				threat = s
-			}
-		}
-	}
-	if threat != nil {
+	if kind, count, ok := c.engine.Strongest("rowhammer-storm", "repeat-offender"); ok {
 		c.lastThreatEpoch = epoch
 		if c.scrubLevel < c.cfg.MaxScrubLevel {
 			from := c.scrubIntervalLocked()
@@ -394,17 +367,17 @@ func (c *Controller) eventEvalLocked(epoch int64) {
 				TimeNs: c.nowNs, Kind: ActionScrubEscalate,
 				From: from.String(), To: c.scrubIntervalLocked().String(),
 				Evidence: fmt.Sprintf("%s signature active (count %d) — scrub level %d",
-					threat.Kind, threat.Count, c.scrubLevel),
+					kind, count, c.scrubLevel),
 			})
 		}
 	}
 
-	if want := c.desiredOrderLocked(); want != nil && !sameOrder(want, c.modelOrder) {
+	if want := c.desiredOrderLocked(); want != nil && !slices.Equal(want, c.modelOrder) {
 		from := strings.Join(c.modelOrder, ",")
 		if from == "" {
 			from = "default"
 		}
-		c.modelOrder = want
+		c.modelOrder = slices.Clone(want)
 		c.emitLocked(Action{
 			TimeNs: c.nowNs, Kind: ActionReorder,
 			From: from, To: strings.Join(want, ","),
@@ -473,11 +446,10 @@ func (c *Controller) pureEvalLocked(epoch int64) {
 
 	// Codec migration: hot regions climb the ladder one step per epoch.
 	if len(c.cfg.Codecs) > 1 {
-		snap := c.snapshotEngineLocked()
-		for i := range snap.Regions {
-			r := &snap.Regions[i]
+		c.hot = c.engine.HotRegions(c.hot[:0], c.cfg.MigrateRate)
+		for _, r := range c.hot {
 			idx := c.regionCodec[r.Region]
-			if idx+1 < len(c.cfg.Codecs) && r.RateSlow >= c.cfg.MigrateRate {
+			if idx+1 < len(c.cfg.Codecs) {
 				c.regionCodec[r.Region] = idx + 1
 				c.emitLocked(Action{
 					TimeNs: c.nowNs, Kind: ActionMigrate, Region: r.Region,
@@ -490,64 +462,53 @@ func (c *Controller) pureEvalLocked(epoch int64) {
 	}
 }
 
-// snapshotEngineLocked reads the engine snapshot while holding c.mu.
-// Lock order is always controller then engine; the engine never calls
-// back into the controller.
-func (c *Controller) snapshotEngineLocked() health.Snapshot { return c.engine.Snapshot() }
-
 // desiredOrderLocked ranks the observed fault models by corrected-decode
 // count (ties broken by the canonical DefaultModels order), or nil while
-// the leader is below the ReorderMin evidence floor.
+// the leader is below the ReorderMin evidence floor. The ranking is
+// built in c.rank, reused every epoch: a caller that keeps it copies it.
 func (c *Controller) desiredOrderLocked() []string {
 	if len(c.modelCounts) == 0 {
 		return nil
 	}
-	canon := func(name string) int {
-		for i, m := range poly.DefaultModels {
-			if m.String() == name {
-				return i
-			}
-		}
-		return len(poly.DefaultModels)
-	}
-	names := make([]string, 0, len(c.modelCounts))
+	names := c.rank[:0]
 	for name := range c.modelCounts {
 		names = append(names, name)
 	}
-	sort.Slice(names, func(a, b int) bool {
-		if c.modelCounts[names[a]] != c.modelCounts[names[b]] {
-			return c.modelCounts[names[a]] > c.modelCounts[names[b]]
+	slices.SortFunc(names, func(a, b string) int {
+		if na, nb := c.modelCounts[a], c.modelCounts[b]; na != nb {
+			return cmp.Compare(nb, na)
 		}
-		if ca, cb := canon(names[a]), canon(names[b]); ca != cb {
-			return ca < cb
+		if ca, cb := canonRank(a), canonRank(b); ca != cb {
+			return ca - cb
 		}
-		return names[a] < names[b]
+		return strings.Compare(a, b)
 	})
+	c.rank = names
 	if c.modelCounts[names[0]] < int64(c.cfg.ReorderMin) {
 		return nil
 	}
 	return names
 }
 
+// canonRank is a model label's position in poly.DefaultModels (labels
+// poly does not know rank last).
+func canonRank(name string) int {
+	for i, m := range poly.DefaultModels {
+		if m.String() == name {
+			return i
+		}
+	}
+	return len(poly.DefaultModels)
+}
+
+// mixEvidenceLocked renders the correction counts behind the decided
+// model order.
 func (c *Controller) mixEvidenceLocked() string {
-	order := c.desiredOrderLocked()
-	parts := make([]string, 0, len(order))
-	for _, name := range order {
+	parts := make([]string, 0, len(c.modelOrder))
+	for _, name := range c.modelOrder {
 		parts = append(parts, fmt.Sprintf("%s=%d", name, c.modelCounts[name]))
 	}
 	return strings.Join(parts, " ")
-}
-
-func sameOrder(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (c *Controller) scrubIntervalLocked() time.Duration {

@@ -47,9 +47,9 @@ type Report struct {
 	// model, indexed by FaultModel; the entries sum to Iterations. It is
 	// the per-decode view of §VIII-C's N budget analysis.
 	PerModelTrials [NumFaultModels]int
-	// Elapsed is the DecodeLine wall time. It is populated only when the
-	// Code was built with a Metrics collector or Trace hook — the bare
-	// decode path skips the clock reads entirely.
+	// Elapsed is the decode's wall time, stamped only when a latency
+	// probe is attached (Config.Latency); otherwise it is zero and no
+	// clock is read, whatever counters or trace hooks are attached.
 	Elapsed time.Duration
 }
 
@@ -67,10 +67,11 @@ func (r *Report) TrialsFor(m FaultModel) int {
 // report. When the status is StatusUncorrectable the data is the
 // best-effort assembly of the uncorrected line.
 //
-// When the Code carries telemetry (Config.Metrics or Config.Trace) each
-// decode also stamps Report.Elapsed, feeds the collector, and invokes
-// the trace hook per correction trial; an uninstrumented Code pays none
-// of that.
+// When the Code carries telemetry each decode also feeds the collector
+// (Config.Metrics), invokes the trace hook per correction trial
+// (Config.Trace), and, with a latency probe (Config.Latency), is timed
+// into the probe and stamped in Report.Elapsed; an uninstrumented Code
+// pays none of that.
 func (c *Code) DecodeLine(l Line) ([LineBytes]byte, Report) {
 	s := c.pool.Get().(*Scratch)
 	data, rep := c.DecodeLineScratch(l, s)
@@ -444,9 +445,9 @@ func (c *Code) runCounter(model FaultModel, base []wideint.U192, dims []int, rep
 			}
 			match = sum == s.workEmbedded
 		}
-		if c.trace != nil {
+		if c.cfg.Trace != nil {
 			for d, wi := range dims {
-				c.trace(TraceEvent{
+				c.cfg.Trace(TraceEvent{
 					Model:     model,
 					Trial:     rep.Iterations,
 					Word:      wi,

@@ -44,7 +44,7 @@ func NewAnomalyRecorder(j *telemetry.Journal, source string, c *Code) *AnomalyRe
 	if j.Enabled() {
 		r.trail = make([]telemetry.TraceStep, 0, maxTrail)
 		hook := r.trace
-		if prev := c.trace; prev != nil {
+		if prev := c.cfg.Trace; prev != nil {
 			hook = func(e TraceEvent) {
 				prev(e)
 				r.trace(e)

@@ -106,18 +106,20 @@ type Config struct {
 	TryZeroRemainder bool
 
 	// Metrics, when non-nil, receives every decode's outcome counters,
-	// per-fault-model trial/hit counters, and iteration/latency
-	// histograms. One collector may be shared across Codes and
-	// goroutines; see telemetry.DecodeMetrics.Publish for expvar wiring.
+	// per-fault-model trial/hit counters, and the iteration histogram.
+	// Counting reads no clock; decode timing is Latency's job. One
+	// collector may be shared across Codes and goroutines; see
+	// telemetry.DecodeMetrics.Publish for expvar wiring.
 	Metrics *telemetry.DecodeMetrics
 	// Trace, when non-nil, observes every correction trial (the
 	// TraceFunc contract). A nil hook adds no work to the decode path.
 	Trace TraceFunc
 	// Latency, when non-nil, receives every encode and decode duration
 	// classified by outcome (clean/corrected/uncorrectable) at 0
-	// allocs/op. A Probe is a single-goroutine handle — concurrent
-	// consumers mint one per worker (latency.Probe.Fork). Nil costs one
-	// branch.
+	// allocs/op, and is the only clock on the encode/decode paths: a
+	// Code without a probe never reads the time. A Probe is a
+	// single-goroutine handle — concurrent consumers mint one per worker
+	// (latency.Probe.Fork). Nil costs one branch.
 	Latency *latency.Probe
 }
 
@@ -160,9 +162,6 @@ type Code struct {
 	inv      []uint64
 	tab      *residue.Tables
 	models   []FaultModel
-	metrics  *telemetry.DecodeMetrics
-	trace    TraceFunc
-	latency  *latency.Probe
 
 	// decHints and bfbfHints are the DEC and BF+BF hint tables, nil when
 	// the model is not configured.
@@ -188,8 +187,8 @@ type Code struct {
 
 	// hitCounters/trialCounters cache the per-model telemetry counters so
 	// the instrumented decode path adds atomically without re-resolving
-	// the label map (and its RLock) per decode. Populated only when
-	// metrics is non-nil.
+	// the label map (and its RLock) per decode. Populated whenever
+	// cfg.Metrics is non-nil.
 	hitCounters   [NumFaultModels]*telemetry.Counter
 	trialCounters [NumFaultModels]*telemetry.Counter
 
@@ -256,9 +255,6 @@ func New(cfg Config, m mac.MAC) (*Code, error) {
 		inv:      tab.Inv,
 		tab:      tab,
 		models:   models,
-		metrics:  cfg.Metrics,
-		trace:    cfg.Trace,
-		latency:  cfg.Latency,
 	}
 	for _, fm := range models {
 		switch fm {
@@ -294,13 +290,14 @@ func New(cfg Config, m mac.MAC) (*Code, error) {
 // cacheCounters resolves the per-fault-model counter pointers once so
 // observe never touches the label maps on the decode path.
 func (c *Code) cacheCounters() {
-	if c.metrics == nil {
+	m := c.cfg.Metrics
+	if m == nil {
 		return
 	}
 	for fm := 0; fm < NumFaultModels; fm++ {
 		name := FaultModel(fm).String()
-		c.hitCounters[fm] = c.metrics.ModelHits.Counter(name)
-		c.trialCounters[fm] = c.metrics.ModelTrials.Counter(name)
+		c.hitCounters[fm] = m.ModelHits.Counter(name)
+		c.trialCounters[fm] = m.ModelTrials.Counter(name)
 	}
 }
 
@@ -420,13 +417,13 @@ func (c *Code) EncodeLine(data *[LineBytes]byte) Line {
 // words slice is reused when it has capacity, so steady-state reuse of
 // one Line encodes without heap allocation.
 func (c *Code) EncodeLineInto(dst *Line, data *[LineBytes]byte) {
-	if c.latency == nil {
+	if c.cfg.Latency == nil {
 		c.encodeLineInto(dst, data)
 		return
 	}
 	start := time.Now()
 	c.encodeLineInto(dst, data)
-	c.latency.Observe(latency.OpEncode, time.Since(start))
+	c.cfg.Latency.Observe(latency.OpEncode, time.Since(start))
 }
 
 func (c *Code) encodeLineInto(dst *Line, data *[LineBytes]byte) {

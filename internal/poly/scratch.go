@@ -42,15 +42,6 @@ type Scratch struct {
 	macState mac.IncState
 	macSaved bool
 
-	// Metrics-only latency sampling (see DecodeLineScratch): latSkip
-	// counts decodes remaining until the next clock read; latHeld is the
-	// most recent sampled duration, re-observed (via its precomputed
-	// histogram bucket) for the unsampled decodes in between so
-	// Latency.Count() tracks the true decode count.
-	latSkip       int
-	latHeld       time.Duration
-	latHeldBucket int
-
 	// Batch-decode tile buffers: DecodeLines gathers a tile's codewords
 	// flat into tileWords and folds their remainders into tileRems in
 	// one pass (residue.Tables.RemainderBatch). remsPrimed tells the
@@ -171,15 +162,9 @@ func (s *Scratch) setCands(d int, list []correction) { s.cands[d] = list }
 // performs no heap allocation.
 func (c *Code) EncodeLineScratch(data *[LineBytes]byte, s *Scratch) Line {
 	c.checkScratch(s)
-	var start time.Time
-	if c.latency != nil {
-		start = time.Now()
-	}
-	c.encodeWords(s.enc, data, c.mac.Sum(data[:]))
-	if c.latency != nil {
-		c.latency.Observe(latency.OpEncode, time.Since(start))
-	}
-	return Line{Words: s.enc}
+	l := Line{Words: s.enc}
+	c.EncodeLineInto(&l, data)
+	return l
 }
 
 // FromBurstScratch is FromBurst writing into the scratch buffers: the
@@ -194,53 +179,32 @@ func (c *Code) FromBurstScratch(b *dram.Burst, s *Scratch) Line {
 	return Line{Words: s.dec}
 }
 
-// latSampleEvery is the metrics-only timing sample period: one decode
-// in every latSampleEvery reads the clock. On machines where a
-// time.Now/Since pair costs ~85ns (more than half the clean decode
-// itself) per-decode timestamps would dominate the instrumented
-// overhead; sampling amortizes the clock to ~1ns/decode while the
-// counters — which are exact — cost ~20ns.
-const latSampleEvery = 8
-
 // DecodeLineScratch is DecodeLine running entirely inside s: clean
 // decodes perform no heap allocation. The returned data is a copy the
-// caller owns. Instrumentation (Config.Metrics/Config.Trace) behaves
-// exactly as in DecodeLine.
+// caller owns. Config.Metrics and Config.Trace behave exactly as in
+// DecodeLine.
 //
-// Timing granularity: a Code with a latency probe or trace hook times
-// every decode. A metrics-only Code samples the clock once per
-// latSampleEvery decodes on each Scratch — Report.Elapsed is stamped
-// only on sampled decodes (zero otherwise), and the in-between decodes
-// re-observe the held sample so the latency histogram's Count stays
-// exact while its distribution is a sampled estimate. Counters
-// (Clean/Corrected/ModelHits/trials) are always exact.
-func (c *Code) DecodeLineScratch(l Line, s *Scratch) ([LineBytes]byte, Report) {
+// Only a latency probe (Config.Latency) reads the clock: with one
+// attached every decode is timed into the probe under its outcome class
+// and stamped in Report.Elapsed; without one Elapsed stays zero, however
+// many counters or trace hooks ride the decode.
+func (c *Code) DecodeLineScratch(l Line, s *Scratch) (data [LineBytes]byte, rep Report) {
 	c.checkScratch(s)
-	if !c.instrumented() {
-		return c.decodeLine(l, s)
-	}
-	if c.latency == nil && c.trace == nil && s.latSkip > 0 {
-		s.latSkip--
-		data, rep := c.decodeLine(l, s)
-		c.observe(&rep)
-		c.metrics.Latency.ObserveInBucket(s.latHeldBucket, int64(s.latHeld))
-		return data, rep
+	if c.cfg.Latency == nil {
+		data, rep = c.decodeLine(l, s)
+		if c.cfg.Metrics != nil {
+			c.observe(&rep)
+		}
+		return
 	}
 	start := time.Now()
-	data, rep := c.decodeLine(l, s)
+	data, rep = c.decodeLine(l, s)
 	rep.Elapsed = time.Since(start)
-	if c.metrics != nil {
+	if c.cfg.Metrics != nil {
 		c.observe(&rep)
-		c.metrics.ObserveLatency(rep.Elapsed)
 	}
-	if c.latency != nil {
-		c.latency.Observe(decodeOp(rep.Status), rep.Elapsed)
-	} else if c.trace == nil {
-		s.latSkip = latSampleEvery - 1
-		s.latHeld = rep.Elapsed
-		s.latHeldBucket = c.metrics.Latency.BucketOf(int64(rep.Elapsed))
-	}
-	return data, rep
+	c.cfg.Latency.Observe(decodeOp(rep.Status), rep.Elapsed)
+	return
 }
 
 // WithMetrics returns a shallow copy of the Code that feeds m on every
@@ -250,7 +214,6 @@ func (c *Code) DecodeLineScratch(l Line, s *Scratch) ([LineBytes]byte, Report) {
 func (c *Code) WithMetrics(m *telemetry.DecodeMetrics) *Code {
 	c2 := *c
 	c2.cfg.Metrics = m
-	c2.metrics = m
 	c2.hitCounters = [NumFaultModels]*telemetry.Counter{}
 	c2.trialCounters = [NumFaultModels]*telemetry.Counter{}
 	c2.cacheCounters()
@@ -262,7 +225,6 @@ func (c *Code) WithMetrics(m *telemetry.DecodeMetrics) *Code {
 func (c *Code) WithTrace(f TraceFunc) *Code {
 	c2 := *c
 	c2.cfg.Trace = f
-	c2.trace = f
 	return &c2
 }
 
@@ -274,7 +236,6 @@ func (c *Code) WithTrace(f TraceFunc) *Code {
 func (c *Code) WithLatency(p *latency.Probe) *Code {
 	c2 := *c
 	c2.cfg.Latency = p
-	c2.latency = p
 	return &c2
 }
 

@@ -147,10 +147,12 @@ func TestScratchGeometryGuard(t *testing.T) {
 }
 
 // TestWithMetricsSharesTables verifies the shallow instrumented copy
-// decodes identically and feeds the collector.
+// decodes identically and feeds the collector, leaving the receiver
+// uninstrumented.
 func TestWithMetricsSharesTables(t *testing.T) {
 	c := testCodeM2005(t)
-	ci := c.WithMetrics(telemetry.NewDecodeMetrics())
+	m := telemetry.NewDecodeMetrics()
+	ci := c.WithMetrics(m)
 	var data [LineBytes]byte
 	rand.New(rand.NewSource(5)).Read(data[:])
 	l := c.EncodeLine(&data)
@@ -158,7 +160,10 @@ func TestWithMetricsSharesTables(t *testing.T) {
 	if got != data || rep.Status != StatusClean {
 		t.Fatalf("instrumented copy misdecoded: %+v", rep)
 	}
-	if rep.Elapsed == 0 {
-		t.Error("instrumented copy did not stamp Elapsed")
+	if m.Clean.Value() != 1 || ci.Metrics() != m {
+		t.Errorf("instrumented copy did not feed its collector: clean=%d", m.Clean.Value())
+	}
+	if c.Metrics() != nil {
+		t.Error("WithMetrics mutated the receiver")
 	}
 }

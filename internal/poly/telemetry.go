@@ -29,12 +29,10 @@ type TraceEvent struct {
 // across goroutines must be safe for concurrent use.
 type TraceFunc func(TraceEvent)
 
-// observe feeds one decode's counters into the attached collector; the
-// latency histogram is fed separately by DecodeLineScratch (timed
-// decodes search for their bucket, unsampled metrics-only decodes reuse
-// the held sample's cached bucket).
+// observe feeds one decode's counters into the attached collector
+// through the per-model counters cacheCounters resolved.
 func (c *Code) observe(rep *Report) {
-	m := c.metrics
+	m := c.cfg.Metrics
 	switch rep.Status {
 	case StatusClean:
 		m.Clean.Add(1)
@@ -46,11 +44,7 @@ func (c *Code) observe(rep *Report) {
 		}
 	case StatusCorrected:
 		m.Corrected.Add(1)
-		if hc := c.hitCounters[rep.Model]; hc != nil {
-			hc.Add(1)
-		} else {
-			m.ModelHits.Add(rep.Model.String(), 1)
-		}
+		c.hitCounters[rep.Model].Add(1)
 	case StatusUncorrectable:
 		m.Uncorrectable.Add(1)
 	}
@@ -62,19 +56,9 @@ func (c *Code) observe(rep *Report) {
 	}
 	for fm, n := range rep.PerModelTrials {
 		if n > 0 {
-			if tc := c.trialCounters[fm]; tc != nil {
-				tc.Add(int64(n))
-			} else {
-				m.ModelTrials.Add(FaultModel(fm).String(), int64(n))
-			}
+			c.trialCounters[fm].Add(int64(n))
 		}
 	}
-}
-
-// instrumented reports whether this Code pays for the clock reads that
-// populate Report.Elapsed.
-func (c *Code) instrumented() bool {
-	return c.metrics != nil || c.trace != nil || c.latency != nil
 }
 
 // decodeOp classifies a decode outcome into its latency operation
@@ -93,8 +77,8 @@ func decodeOp(st Status) latency.Op {
 
 // Metrics returns the collector attached at construction (nil when the
 // Code is uninstrumented).
-func (c *Code) Metrics() *telemetry.DecodeMetrics { return c.metrics }
+func (c *Code) Metrics() *telemetry.DecodeMetrics { return c.cfg.Metrics }
 
 // Latency returns the probe attached at construction or via
 // WithLatency (nil when latency capture is off).
-func (c *Code) Latency() *latency.Probe { return c.latency }
+func (c *Code) Latency() *latency.Probe { return c.cfg.Latency }

@@ -1,10 +1,12 @@
 package poly
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"polyecc/internal/latency"
 	"polyecc/internal/mac"
 	"polyecc/internal/telemetry"
 )
@@ -69,8 +71,8 @@ func TestPerModelTrialsPartitionIterations(t *testing.T) {
 	}
 }
 
-// An uninstrumented Code must not stamp Elapsed (no clock reads on the
-// bare path); an instrumented one must.
+// Only a latency probe stamps Elapsed: a bare Code and a metrics-only
+// Code read no clock, a probed one times every decode.
 func TestElapsedGatedOnInstrumentation(t *testing.T) {
 	bare := newM2005(t)
 	r := rand.New(rand.NewSource(22))
@@ -82,11 +84,184 @@ func TestElapsedGatedOnInstrumentation(t *testing.T) {
 	cfg := ConfigM2005()
 	cfg.Metrics = telemetry.NewDecodeMetrics()
 	inst := MustNew(cfg, mac.MustSipHash(testKey, 40))
-	if _, rep := inst.DecodeLine(inst.EncodeLine(&data)); rep.Elapsed <= 0 {
-		t.Fatalf("instrumented code Elapsed = %v, want > 0", rep.Elapsed)
+	if _, rep := inst.DecodeLine(inst.EncodeLine(&data)); rep.Elapsed != 0 {
+		t.Fatalf("metrics-only code stamped Elapsed = %v", rep.Elapsed)
 	}
 	if inst.Metrics() != cfg.Metrics {
 		t.Fatal("Metrics() should return the attached collector")
+	}
+
+	probed := inst.WithLatency(latency.NewCollector().Probe())
+	if _, rep := probed.DecodeLine(probed.EncodeLine(&data)); rep.Elapsed <= 0 {
+		t.Fatalf("probed code Elapsed = %v, want > 0", rep.Elapsed)
+	}
+}
+
+// A Code carrying counters and a trace hook but no latency probe must
+// leave Elapsed zero on every outcome class: neither attachment reads
+// the clock.
+func TestElapsedZeroWithoutProbe(t *testing.T) {
+	m := telemetry.NewDecodeMetrics()
+	trials := 0
+	cfg := ConfigM2005()
+	cfg.Metrics = m
+	cfg.Trace = func(TraceEvent) { trials++ }
+	cfg.Models = []FaultModel{ModelChipKill, ModelSSC} // keep the DUE fast
+	c := MustNew(cfg, mac.MustSipHash(testKey, 40))
+	s := c.NewScratch()
+	r := rand.New(rand.NewSource(27))
+	data := randLine(r)
+	l := c.EncodeLine(&data)
+	cases := []struct {
+		name string
+		line Line
+		want Status
+	}{
+		{"clean", l, StatusClean},
+		{"corrected", corruptSymbol(l, 2, 3, 0x5a), StatusCorrected},
+		{"due", tripleCorrupt(l, r), StatusUncorrectable},
+	}
+	for _, tc := range cases {
+		for round := 0; round < 10; round++ { // past any 1-in-N sampling period
+			_, rep := c.DecodeLine(tc.line)
+			_, srep := c.DecodeLineScratch(tc.line, s)
+			for _, rp := range []Report{rep, srep} {
+				if rp.Status != tc.want {
+					t.Fatalf("%s: status %v, want %v", tc.name, rp.Status, tc.want)
+				}
+				if rp.Elapsed != 0 {
+					t.Fatalf("%s round %d: Elapsed = %v without a probe", tc.name, round, rp.Elapsed)
+				}
+			}
+		}
+	}
+	if trials == 0 || m.Clean.Value() != 20 || m.Corrected.Value() != 20 || m.Uncorrectable.Value() != 20 {
+		t.Fatalf("attachments idle: %d trace events, clean/corrected/due = %d/%d/%d",
+			trials, m.Clean.Value(), m.Corrected.Value(), m.Uncorrectable.Value())
+	}
+}
+
+// With a probe attached, every entry point times each call exactly once
+// into its outcome class and stamps Elapsed on every decode report.
+func TestLatencyProbeEntryPoints(t *testing.T) {
+	cfg := ConfigM2005()
+	cfg.Models = []FaultModel{ModelChipKill, ModelSSC} // keep the DUE fast
+	base := MustNew(cfg, mac.MustSipHash(testKey, 40))
+	r := rand.New(rand.NewSource(28))
+	data := randLine(r)
+	clean := base.EncodeLine(&data)
+	lines := map[latency.Op]Line{
+		latency.OpDecodeClean:         clean,
+		latency.OpDecodeCorrected:     corruptSymbol(clean, 5, 6, 0x21),
+		latency.OpDecodeUncorrectable: tripleCorrupt(clean, r),
+	}
+	count := func(coll *latency.Collector, op latency.Op) int64 {
+		return coll.Op(op).Quantiles().Count
+	}
+	// expectOne checks that exactly one observation landed, in class op.
+	expectOne := func(entry string, coll *latency.Collector, op latency.Op) {
+		t.Helper()
+		for _, o := range []latency.Op{latency.OpEncode, latency.OpDecodeClean, latency.OpDecodeCorrected, latency.OpDecodeUncorrectable} {
+			want := int64(0)
+			if o == op {
+				want = 1
+			}
+			if got := count(coll, o); got != want {
+				t.Fatalf("%s: %s observations = %d, want %d", entry, o, got, want)
+			}
+		}
+	}
+	for op, l := range lines {
+		decodes := []struct {
+			name string
+			run  func(c *Code) Report
+		}{
+			{"DecodeLine", func(c *Code) Report { _, rep := c.DecodeLine(l); return rep }},
+			{"DecodeLineScratch", func(c *Code) Report { _, rep := c.DecodeLineScratch(l, c.NewScratch()); return rep }},
+			{"DecodeLines", func(c *Code) Report {
+				res := c.DecodeLines(nil, []Line{l}, c.NewScratch())
+				return res[0].Report
+			}},
+			{"DecodeBurst", func(c *Code) Report {
+				b := c.ToBurst(l)
+				_, rep := c.DecodeBurst(&b)
+				return rep
+			}},
+		}
+		for _, d := range decodes {
+			coll := latency.NewCollector()
+			rep := d.run(base.WithLatency(coll.Probe()))
+			if decodeOp(rep.Status) != op {
+				t.Fatalf("%s: status %v does not classify as %s", d.name, rep.Status, op)
+			}
+			if rep.Elapsed <= 0 {
+				t.Fatalf("%s %s: Elapsed = %v, want > 0", d.name, op, rep.Elapsed)
+			}
+			expectOne(d.name+"/"+op.String(), coll, op)
+		}
+	}
+	encodes := []struct {
+		name string
+		run  func(c *Code)
+	}{
+		{"EncodeLineInto", func(c *Code) {
+			var dst Line
+			c.EncodeLineInto(&dst, &data)
+		}},
+		{"EncodeLineScratch", func(c *Code) { c.EncodeLineScratch(&data, c.NewScratch()) }},
+	}
+	for _, e := range encodes {
+		coll := latency.NewCollector()
+		e.run(base.WithLatency(coll.Probe()))
+		expectOne(e.name, coll, latency.OpEncode)
+	}
+}
+
+// Attaching a probe must not change what the counters record: the same
+// decodes through a probed and an unprobed Code fill identical
+// collectors.
+func TestDecodeMetricsIndependentOfProbe(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	bare := newM2005(t)
+	var lines []Line
+	for i := 0; i < 40; i++ {
+		data := randLine(r)
+		l := bare.EncodeLine(&data)
+		switch i % 4 {
+		case 1:
+			l = corruptSymbol(l, i%bare.Words(), 2+i%6, uint64(1+r.Intn(255)))
+		case 2:
+			l.Words[i%bare.Words()] = l.Words[i%bare.Words()].FlipBit(3) // check bits: Update-ECC
+		case 3:
+			l = tripleCorrupt(l, r)
+		}
+		lines = append(lines, l)
+	}
+	cfg := ConfigM2005()
+	cfg.MaxIterations = 2000 // bound the DUE searches
+	run := func(probe bool) *telemetry.DecodeMetrics {
+		m := telemetry.NewDecodeMetrics()
+		c := MustNew(cfg, mac.MustSipHash(testKey, 40)).WithMetrics(m)
+		if probe {
+			c = c.WithLatency(latency.NewCollector().Probe())
+		}
+		s := c.NewScratch()
+		for _, l := range lines {
+			c.DecodeLineScratch(l, s)
+		}
+		return m
+	}
+	plain, probed := run(false), run(true)
+	render := func(m *telemetry.DecodeMetrics) string {
+		return fmt.Sprintf("clean=%d corrected=%d due=%d ecc=%d hits=%s trials=%s iterations=%s",
+			m.Clean.Value(), m.Corrected.Value(), m.Uncorrectable.Value(), m.ECCFixed.Value(),
+			m.ModelHits.String(), m.ModelTrials.String(), m.Iterations.String())
+	}
+	if a, b := render(plain), render(probed); a != b {
+		t.Fatalf("counters differ with a probe attached:\n without %s\n with    %s", a, b)
+	}
+	if plain.Clean.Value() == 0 || plain.Corrected.Value() == 0 || plain.Uncorrectable.Value() == 0 || plain.ECCFixed.Value() == 0 {
+		t.Fatalf("workload misses an outcome class: %s", render(plain))
 	}
 }
 
@@ -186,9 +361,6 @@ func TestDecodeMetricsCollection(t *testing.T) {
 	if m.Iterations.Count() != 2 { // corrected + DUE; clean is not an iteration sample
 		t.Fatalf("iteration samples = %d, want 2", m.Iterations.Count())
 	}
-	if m.Latency.Count() != 3 {
-		t.Fatalf("latency samples = %d, want 3", m.Latency.Count())
-	}
 	trials := int64(0)
 	m.ModelTrials.Do(func(_ string, v int64) { trials += v })
 	if trials != m.Iterations.Sum() {
@@ -233,8 +405,13 @@ func TestDecodeMetricsConcurrent(t *testing.T) {
 	if got := m.Clean.Value() + m.Corrected.Value(); got != n {
 		t.Fatalf("clean+corrected = %d, want %d", got, n)
 	}
-	if m.Latency.Count() != n {
-		t.Fatalf("latency samples = %d, want %d", m.Latency.Count(), n)
+	if got := m.Iterations.Count(); got != m.Corrected.Value() {
+		t.Fatalf("iteration samples = %d, want one per corrected decode (%d)", got, m.Corrected.Value())
+	}
+	trials := int64(0)
+	m.ModelTrials.Do(func(_ string, v int64) { trials += v })
+	if trials != m.Iterations.Sum() {
+		t.Fatalf("model trials %d != iteration sum %d", trials, m.Iterations.Sum())
 	}
 }
 

@@ -20,8 +20,16 @@ import (
 
 // SeqPhase summarizes one phase of a sequential scenario run.
 type SeqPhase struct {
-	Name      string
-	Trials    int
+	Name   string
+	Trials int
+	// Hammer counts rowhammer accesses, with two meanings. On a drawn
+	// schedule it counts every access of a rowhammer client, fenced ones
+	// included (they are in Blocked too). On a journal replay it counts
+	// only the recorded rowhammer faults actually re-injected, so a
+	// replayed step the controller fences is in Blocked alone (the
+	// 8,000-trial seed-1 memctlsoak replay golden has 103 rowhammer
+	// steps and reports 101). The memctl equivalence and replay goldens
+	// pin both meanings.
 	Hammer    int
 	Blocked   int // accesses the controller fenced (quarantine/retire)
 	Clean     int

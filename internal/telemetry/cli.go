@@ -66,7 +66,7 @@ func (f *CLIFlags) Init(tool string) *slog.Logger {
 		logger.Info("flight recorder on", "path", f.JournalPath, "capacity", f.JournalCap)
 	}
 	if f.MetricsAddr != "" {
-		addr, err := StartServerEndpoints(f.MetricsAddr, f.Journal, f.Vitals, f.Extra...)
+		addr, err := StartServer(f.MetricsAddr, f.Journal, f.Vitals, f.Extra...)
 		if err != nil {
 			Fatal(logger, "metrics server failed", "addr", f.MetricsAddr, "err", err)
 		}

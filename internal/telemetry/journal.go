@@ -27,7 +27,8 @@ import (
 //     so heavy concurrent recording does not serialize the campaign.
 //   - The buffer is bounded. When a ring is full the oldest event in that
 //     shard is overwritten and the drop counter is incremented — memory
-//     stays bounded no matter how long the run, and the operator can see
+//     stays bounded no matter how long the run (and a ring allocates only
+//     as it fills, so a generous bound is free), and the operator can see
 //     exactly how much history was lost.
 //   - Export is pull-based: Snapshot copies, Drain copies-and-clears,
 //     both returning events in global sequence order. WriteJSONL and
@@ -51,10 +52,60 @@ type Journal struct {
 
 type journalShard struct {
 	mu   sync.Mutex
-	ring []Event
-	next int // next write slot
-	n    int // live events in the ring
+	ring eventRing
 }
+
+// eventRing is a bounded FIFO of events that overwrites its oldest event
+// when full — the buffer behind each journal shard and each
+// subscription. Its backing array grows on demand up to max, so a ring
+// bounded for a long run costs memory only for the events it has
+// actually held at once.
+type eventRing struct {
+	buf  []Event
+	max  int
+	next int // next write slot
+	n    int // live events
+}
+
+// push stores e, overwriting the oldest event when the ring is full at
+// max, and reports whether it did.
+func (r *eventRing) push(e Event) (overwrote bool) {
+	if r.n == len(r.buf) {
+		if len(r.buf) < r.max {
+			r.grow()
+		} else {
+			overwrote = true
+		}
+	}
+	if !overwrote {
+		r.n++
+	}
+	r.buf[r.next] = e
+	r.next = (r.next + 1) % len(r.buf)
+	return overwrote
+}
+
+// grow doubles the backing array (at least 16 slots, at most max) and
+// moves the live events to its front, oldest first.
+func (r *eventRing) grow() {
+	buf := r.appendTo(make([]Event, 0, min(max(2*len(r.buf), 16), r.max)))
+	r.buf, r.next = buf[:cap(buf)], len(buf)
+}
+
+// appendTo appends the live events to dst, oldest first.
+func (r *eventRing) appendTo(dst []Event) []Event {
+	start := r.next - r.n
+	if start < 0 {
+		start += len(r.buf)
+	}
+	for k := 0; k < r.n; k++ {
+		dst = append(dst, r.buf[(start+k)%len(r.buf)])
+	}
+	return dst
+}
+
+// reset empties the ring, keeping its backing array.
+func (r *eventRing) reset() { r.next, r.n = 0, 0 }
 
 // Event kinds recorded by the pipeline. Detail payloads are
 // kind-specific; see DecodeAnomaly.
@@ -149,7 +200,7 @@ func NewJournal(capacity int) *Journal {
 	per := (capacity + journalShards - 1) / journalShards
 	j := &Journal{shards: make([]journalShard, journalShards)}
 	for i := range j.shards {
-		j.shards[i].ring = make([]Event, per)
+		j.shards[i].ring.max = per
 	}
 	return j
 }
@@ -171,13 +222,9 @@ func (j *Journal) Record(e Event) {
 	}
 	sh := &j.shards[e.Seq%journalShards]
 	sh.mu.Lock()
-	if sh.n == len(sh.ring) {
-		j.dropped.Add(1) // the slot at next is the shard's oldest event
-	} else {
-		sh.n++
+	if sh.ring.push(e) {
+		j.dropped.Add(1)
 	}
-	sh.ring[sh.next] = e
-	sh.next = (sh.next + 1) % len(sh.ring)
 	sh.mu.Unlock()
 	j.recorded.Add(1)
 	if j.nsubs.Load() != 0 {
@@ -222,7 +269,7 @@ func (j *Journal) Len() int {
 	for i := range j.shards {
 		sh := &j.shards[i]
 		sh.mu.Lock()
-		n += sh.n
+		n += sh.ring.n
 		sh.mu.Unlock()
 	}
 	return n
@@ -238,14 +285,9 @@ func (j *Journal) collect(drain bool) []Event {
 	for i := range j.shards {
 		sh := &j.shards[i]
 		sh.mu.Lock()
-		// Oldest-first within the shard: the ring's oldest live slot is
-		// next-n (mod len) when full, else slot 0 onward.
-		start := (sh.next - sh.n + len(sh.ring)) % len(sh.ring)
-		for k := 0; k < sh.n; k++ {
-			out = append(out, sh.ring[(start+k)%len(sh.ring)])
-		}
+		out = sh.ring.appendTo(out)
 		if drain {
-			sh.n, sh.next = 0, 0
+			sh.ring.reset()
 		}
 		sh.mu.Unlock()
 	}
@@ -282,25 +324,13 @@ func (j *Journal) Publish(prefix string) {
 // continues at full speed.
 //
 // Poll drains the buffered events; C is a level-triggered wakeup that
-// receives at most one pending notification, so the canonical consumer
-// loop is:
-//
-//	for {
-//		select {
-//		case <-ctx.Done():
-//			handle(sub.Poll(nil)) // final drain
-//			return
-//		case <-sub.C():
-//			handle(sub.Poll(buf[:0]))
-//		}
-//	}
+// receives at most one pending notification. Run is the canonical
+// consumer loop built from the two.
 type Subscription struct {
 	j *Journal
 
 	mu      sync.Mutex
-	ring    []Event
-	next    int // next write slot
-	n       int // live events
+	ring    eventRing
 	closed  bool
 	dropped Counter // events overwritten before this subscriber polled them
 	pushed  Counter // events ever pushed to this subscriber
@@ -321,7 +351,7 @@ func (j *Journal) Subscribe(capacity int) *Subscription {
 	}
 	s := &Subscription{
 		j:      j,
-		ring:   make([]Event, capacity),
+		ring:   eventRing{max: capacity},
 		notify: make(chan struct{}, 1),
 	}
 	j.subMu.Lock()
@@ -339,13 +369,9 @@ func (s *Subscription) push(e Event) {
 		s.mu.Unlock()
 		return
 	}
-	if s.n == len(s.ring) {
+	if s.ring.push(e) {
 		s.dropped.Add(1)
-	} else {
-		s.n++
 	}
-	s.ring[s.next] = e
-	s.next = (s.next + 1) % len(s.ring)
 	s.pushed.Add(1)
 	s.mu.Unlock()
 	select {
@@ -363,11 +389,8 @@ func (s *Subscription) Poll(dst []Event) []Event {
 		return dst
 	}
 	s.mu.Lock()
-	start := (s.next - s.n + len(s.ring)) % len(s.ring)
-	for k := 0; k < s.n; k++ {
-		dst = append(dst, s.ring[(start+k)%len(s.ring)])
-	}
-	s.n, s.next = 0, 0
+	dst = s.ring.appendTo(dst)
+	s.ring.reset()
 	s.mu.Unlock()
 	return dst
 }
@@ -397,6 +420,39 @@ func (s *Subscription) Pushed() int64 {
 		return 0
 	}
 	return s.pushed.Value()
+}
+
+// Run pumps the subscription into handle on a new goroutine: every
+// wakeup drains the buffered events into one handle call. The returned
+// stop closes the subscription, drains what is still buffered into a
+// last handle call and waits for the goroutine to finish. handle must
+// not keep the batch: its backing array is reused for the next one. A
+// nil subscription starts nothing and returns a no-op stop.
+func (s *Subscription) Run(handle func([]Event)) (stop func()) {
+	if s == nil {
+		return func() {}
+	}
+	stopCh := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var buf []Event
+		for {
+			select {
+			case <-stopCh:
+				handle(s.Poll(buf[:0]))
+				return
+			case <-s.notify:
+				buf = s.Poll(buf[:0])
+				handle(buf)
+			}
+		}
+	}()
+	return func() {
+		s.Close()
+		close(stopCh)
+		<-done
+	}
 }
 
 // Close detaches the subscription from the journal. Buffered events

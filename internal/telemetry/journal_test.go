@@ -314,6 +314,37 @@ func TestSubscribeNilSafe(t *testing.T) {
 		t.Fatal("nil sub counters must read 0")
 	}
 	sub.Close()
+	sub.Run(func([]Event) { t.Error("nil subscription delivered a batch") })()
+}
+
+// Run delivers every recorded event exactly once, in order, across its
+// wakeup batches and the final drain its stop performs, and stop
+// returns only after the pump goroutine has exited.
+func TestSubscriptionRunDrainsOnStop(t *testing.T) {
+	j := NewJournal(64)
+	sub := j.Subscribe(1024)
+	var got []int // written by the pump goroutine, read after stop
+	stop := sub.Run(func(batch []Event) {
+		for _, e := range batch {
+			got = append(got, e.Index)
+		}
+	})
+	for i := 0; i < 500; i++ {
+		j.Record(Event{Kind: KindTrialOutcome, Index: i})
+	}
+	stop()
+	if len(got) != 500 {
+		t.Fatalf("delivered %d events, want 500", len(got))
+	}
+	for i, idx := range got {
+		if idx != i {
+			t.Fatalf("event %d delivered as %d: order or duplicates broken", i, idx)
+		}
+	}
+	j.Record(Event{Kind: KindTrialOutcome, Index: 999})
+	if sub.Pushed() != 500 {
+		t.Fatalf("stop must detach the subscription: pushed %d", sub.Pushed())
+	}
 }
 
 // The fan-out contract under concurrency: with writers hammering the
@@ -384,5 +415,43 @@ func TestSubscribeConcurrentExactAccounting(t *testing.T) {
 	}
 	if j.Recorded() != int64(total) {
 		t.Fatalf("journal Recorded = %d, want %d", j.Recorded(), total)
+	}
+}
+
+// An event ring grows its buffer only as far as the events it holds at
+// once, never past its bound, and keeps FIFO order and exact overwrite
+// accounting across growth, wraparound and reset.
+func TestEventRingGrowsToBound(t *testing.T) {
+	r := eventRing{max: 40}
+	for i := 0; i < 3; i++ {
+		r.push(Event{Index: i})
+	}
+	if len(r.buf) != 16 {
+		t.Fatalf("3 events allocated %d slots, want 16", len(r.buf))
+	}
+	overwrote := 0
+	for i := 3; i < 100; i++ {
+		if r.push(Event{Index: i}) {
+			overwrote++
+		}
+	}
+	if len(r.buf) != 40 || overwrote != 60 {
+		t.Fatalf("buffer %d slots (want 40), %d overwritten (want 60)", len(r.buf), overwrote)
+	}
+	got := r.appendTo(nil)
+	if len(got) != 40 || got[0].Index != 60 || got[39].Index != 99 {
+		t.Fatalf("ring holds %d events %d..%d, want 40 events 60..99", len(got), got[0].Index, got[len(got)-1].Index)
+	}
+	for k := range got {
+		if got[k].Index != 60+k {
+			t.Fatalf("event %d is %d: order broken", k, got[k].Index)
+		}
+	}
+	r.reset()
+	for i := 0; i < 5; i++ {
+		r.push(Event{Index: 200 + i})
+	}
+	if got := r.appendTo(nil); len(got) != 5 || got[0].Index != 200 || got[4].Index != 204 {
+		t.Fatalf("after reset: %v", got)
 	}
 }

@@ -200,7 +200,7 @@ func TestLatencyAndTimeseriesEndpoints(t *testing.T) {
 	rec.Latency("clean", coll.Op(latency.OpDecodeClean))
 	tickAt(rec, 5)
 
-	mux := NewMuxEndpoints(nil, nil,
+	mux := NewMux(nil, nil,
 		Endpoint{Path: "/latency", Payload: func() any { return coll.Payload() }},
 		Endpoint{Path: "/timeseries", Payload: func() any { return rec.Payload() }},
 	)
@@ -254,7 +254,7 @@ func TestMetricsLatencySeriesRoundTrip(t *testing.T) {
 	}
 	coll.Publish("rt_lat")
 
-	srv := httptest.NewServer(NewMux(nil))
+	srv := httptest.NewServer(NewMux(nil, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {

@@ -31,16 +31,6 @@ type Vitals interface {
 	RegionsPayload() any
 }
 
-// NewMux builds the observability HTTP mux: /debug/vars (the expvar
-// registry, including every collector registered through Publish), the
-// /debug/pprof endpoints (CPU/heap/goroutine profiles and execution
-// traces), /healthz (liveness: uptime, goroutines, journal pressure),
-// and /metrics (the expvar registry re-rendered in Prometheus text
-// exposition format, so a standard scraper can watch a campaign without
-// any extra dependency). j may be nil when the process runs without a
-// flight recorder.
-func NewMux(j *Journal) *http.ServeMux { return NewMuxVitals(j, nil) }
-
 // Endpoint is one extra JSON surface a host mounts on the observability
 // server — e.g. the memory controller's /memctl action/quarantine
 // snapshot. Payload is called per request and its result marshaled as
@@ -51,15 +41,20 @@ type Endpoint struct {
 	Payload func() any
 }
 
-// NewMuxVitals is NewMux with a live health engine attached: /healthz
-// reports the engine's SLO status (HTTP 503 while it is at "page", so a
-// load balancer or alerter can act on it directly) and /regions serves
-// the per-region error heatmap snapshot.
-func NewMuxVitals(j *Journal, v Vitals) *http.ServeMux { return NewMuxEndpoints(j, v) }
-
-// NewMuxEndpoints is NewMuxVitals plus any number of extra JSON
-// endpoints.
-func NewMuxEndpoints(j *Journal, v Vitals, extra ...Endpoint) *http.ServeMux {
+// NewMux builds the observability HTTP mux: /debug/vars (the expvar
+// registry, including every collector registered through Publish), the
+// /debug/pprof endpoints (CPU/heap/goroutine profiles and execution
+// traces), /healthz (liveness: uptime, goroutines, journal pressure),
+// /metrics (the expvar registry re-rendered in Prometheus text
+// exposition format, so a standard scraper can watch a campaign without
+// any extra dependency), /regions, and any extra JSON endpoints.
+//
+// j may be nil when the process runs without a flight recorder. With a
+// live health engine attached as v, /healthz reports the engine's SLO
+// status (HTTP 503 while it is at "page", so a load balancer or alerter
+// can act on it directly) and /regions serves the per-region error
+// heatmap snapshot; a nil v leaves /regions answering 404.
+func NewMux(j *Journal, v Vitals, extra ...Endpoint) *http.ServeMux {
 	mux := http.NewServeMux()
 	for _, ep := range extra {
 		payload := ep.Payload
@@ -144,8 +139,8 @@ func regionsHandler(v Vitals) http.HandlerFunc {
 	}
 }
 
-// promName maps an expvar name ("decode.latency_ns") to a legal
-// Prometheus metric name ("decode_latency_ns").
+// promName maps an expvar name ("decode.model_hits") to a legal
+// Prometheus metric name ("decode_model_hits").
 func promName(name string) string {
 	var b strings.Builder
 	for i, r := range name {
@@ -254,32 +249,16 @@ func metricsHandler(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// StartServer listens on addr (e.g. ":8080") and serves NewMux in a
-// background goroutine for the life of the process. The listen happens
-// synchronously so a bad address fails fast; the resolved address is
-// returned (useful with ":0").
-func StartServer(addr string) (string, error) { return StartServerVitals(addr, nil, nil) }
-
-// StartServerJournal is StartServer with a flight recorder attached, so
-// /healthz reports journal buffer depth and drop counts live.
-func StartServerJournal(addr string, j *Journal) (string, error) {
-	return StartServerVitals(addr, j, nil)
-}
-
-// StartServerVitals is StartServerJournal with a live health engine
-// attached: /healthz carries its vital signs and /regions its heatmap.
-func StartServerVitals(addr string, j *Journal, v Vitals) (string, error) {
-	return StartServerEndpoints(addr, j, v)
-}
-
-// StartServerEndpoints is StartServerVitals plus extra JSON endpoints
-// (see Endpoint).
-func StartServerEndpoints(addr string, j *Journal, v Vitals, extra ...Endpoint) (string, error) {
+// StartServer listens on addr (e.g. ":8080") and serves NewMux(j, v,
+// extra...) in a background goroutine for the life of the process. The
+// listen happens synchronously so a bad address fails fast; the
+// resolved address is returned (useful with ":0").
+func StartServer(addr string, j *Journal, v Vitals, extra ...Endpoint) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: NewMuxEndpoints(j, v, extra...)}
+	srv := &http.Server{Handler: NewMux(j, v, extra...)}
 	go srv.Serve(ln) //nolint:errcheck — lives until process exit
 	return ln.Addr().String(), nil
 }

@@ -15,7 +15,7 @@ func TestHealthzReportsJournalPressure(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		j.Record(Event{Kind: KindTrialOutcome, Index: i})
 	}
-	srv := httptest.NewServer(NewMux(j))
+	srv := httptest.NewServer(NewMux(j, nil))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/healthz")
@@ -42,7 +42,7 @@ func TestHealthzReportsJournalPressure(t *testing.T) {
 }
 
 func TestHealthzWithoutJournal(t *testing.T) {
-	srv := httptest.NewServer(NewMux(nil))
+	srv := httptest.NewServer(NewMux(nil, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/healthz")
 	if err != nil {
@@ -70,7 +70,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	h.Observe(int64(3 * time.Microsecond))
 	Publish("server_test.latency_ns", h)
 
-	srv := httptest.NewServer(NewMux(nil))
+	srv := httptest.NewServer(NewMux(nil, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
@@ -108,7 +108,7 @@ func TestDebugVarsStillServed(t *testing.T) {
 	var c Counter
 	c.Add(2)
 	Publish("server_test.debugvars", &c)
-	srv := httptest.NewServer(NewMux(nil))
+	srv := httptest.NewServer(NewMux(nil, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/vars")
 	if err != nil {
@@ -223,7 +223,7 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 	}
 	Publish("rt_test.plainhist", h)
 
-	srv := httptest.NewServer(NewMux(nil))
+	srv := httptest.NewServer(NewMux(nil, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {

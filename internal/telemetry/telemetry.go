@@ -19,7 +19,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // --- Counter ---------------------------------------------------------------
@@ -181,34 +180,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// BucketOf returns the bucket index Observe(v) would increment, for
-// callers that observe one sampled value repeatedly (the poly decode
-// path's held latency sample) and want to pay the search once.
-func (h *Histogram) BucketOf(v int64) int {
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v <= h.bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// ObserveInBucket records v into bucket i, previously computed by
-// BucketOf(v) — Observe minus the search. An out-of-range i lands in
-// the overflow bucket rather than panicking.
-func (h *Histogram) ObserveInBucket(i int, v int64) {
-	if i < 0 || i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -347,9 +318,10 @@ func Publish(name string, v expvar.Var) {
 
 // DecodeMetrics collects the decode-path measurements of §VIII of the
 // paper as live counters: outcome counts, per-fault-model trial and hit
-// counts, the iteration-count distribution (the N budget of §VIII-C),
-// and the decode wall-time distribution. A single value may be shared
-// by many goroutines and many Codes.
+// counts, and the iteration-count distribution (the N budget of
+// §VIII-C). Decode wall time is not here: the decoder's one clock is a
+// latency probe (poly.Config.Latency). A single value may be shared by
+// many goroutines and many Codes.
 type DecodeMetrics struct {
 	Clean         Counter // decodes with zero remainders and a matching MAC
 	Corrected     Counter // decodes recovered by a correction trial (or Update-ECC)
@@ -360,26 +332,19 @@ type DecodeMetrics struct {
 	ModelTrials LabeledCounter // correction trials attempted, per fault model
 
 	Iterations *Histogram // trials per non-clean decode
-	Latency    *Histogram // DecodeLine wall time in nanoseconds
 }
 
 // NewDecodeMetrics builds a collector with the default bucket layout:
 // iteration buckets doubling 1..32768 (the paper's N_max analysis runs
-// to ~4464 for ChipKill+1) and latency buckets ×4 from 256ns to ~67ms.
+// to ~4464 for ChipKill+1).
 func NewDecodeMetrics() *DecodeMetrics {
-	return &DecodeMetrics{
-		Iterations: NewHistogram(ExpBuckets(1, 2, 16)...),
-		Latency:    NewHistogram(ExpBuckets(256, 4, 10)...),
-	}
+	return &DecodeMetrics{Iterations: NewHistogram(ExpBuckets(1, 2, 16)...)}
 }
-
-// ObserveLatency records one decode's wall time.
-func (m *DecodeMetrics) ObserveLatency(d time.Duration) { m.Latency.Observe(int64(d)) }
 
 // Publish registers every collector under prefix: prefix.clean,
 // prefix.corrected, prefix.uncorrectable, prefix.ecc_fixed,
-// prefix.model_hits, prefix.model_trials, prefix.iterations, and
-// prefix.latency_ns. Idempotent, like Publish.
+// prefix.model_hits, prefix.model_trials, and prefix.iterations.
+// Idempotent, like Publish.
 func (m *DecodeMetrics) Publish(prefix string) {
 	Publish(prefix+".clean", &m.Clean)
 	Publish(prefix+".corrected", &m.Corrected)
@@ -388,5 +353,4 @@ func (m *DecodeMetrics) Publish(prefix string) {
 	Publish(prefix+".model_hits", &m.ModelHits)
 	Publish(prefix+".model_trials", &m.ModelTrials)
 	Publish(prefix+".iterations", m.Iterations)
-	Publish(prefix+".latency_ns", m.Latency)
 }

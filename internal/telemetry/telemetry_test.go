@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // Counters must be exact under concurrent increments (run with -race).
@@ -189,20 +188,25 @@ func TestDecodeMetricsPublish(t *testing.T) {
 	m := NewDecodeMetrics()
 	m.Clean.Add(3)
 	m.ModelHits.Add("SSC", 1)
-	m.ObserveLatency(5 * time.Microsecond)
+	m.Iterations.Observe(5)
 	m.Publish("telemetry_test.decode")
 	m.Publish("telemetry_test.decode") // idempotent
 	if got := expvar.Get("telemetry_test.decode.clean"); got == nil || got.String() != "3" {
 		t.Fatalf("clean = %v", got)
 	}
 	for _, name := range []string{"corrected", "uncorrectable", "ecc_fixed",
-		"model_hits", "model_trials", "iterations", "latency_ns"} {
+		"model_hits", "model_trials", "iterations"} {
 		if expvar.Get("telemetry_test.decode."+name) == nil {
 			t.Errorf("collector %s not published", name)
 		}
 	}
-	if m.Latency.Count() != 1 {
-		t.Fatalf("latency count = %d", m.Latency.Count())
+	// Decode timing belongs to the latency probe; the counter collector
+	// publishes no clock.
+	if expvar.Get("telemetry_test.decode.latency_ns") != nil {
+		t.Error("decode metrics published a latency_ns histogram")
+	}
+	if m.Iterations.Count() != 1 || m.Iterations.Sum() != 5 {
+		t.Fatalf("iterations count/sum = %d/%d, want 1/5", m.Iterations.Count(), m.Iterations.Sum())
 	}
 }
 
@@ -212,7 +216,7 @@ func TestStartServer(t *testing.T) {
 	var c Counter
 	c.Add(42)
 	Publish("telemetry_test.server", &c)
-	addr, err := StartServer("127.0.0.1:0")
+	addr, err := StartServer("127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +242,7 @@ func TestStartServer(t *testing.T) {
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Fatal("pprof index missing goroutine profile")
 	}
-	if _, err := StartServer(addr); err == nil {
+	if _, err := StartServer(addr, nil, nil); err == nil {
 		t.Fatal("second listen on same address should fail")
 	}
 }

@@ -23,16 +23,19 @@
 // sub-channel; the Sim* helpers expose the paper's fault models.
 //
 // The decode path is observable: attach a DecodeMetrics collector
-// (Config.Metrics) for outcome/per-model counters and
-// iteration/latency histograms, a TraceFunc (Config.Trace) for
-// per-trial events, and serve everything live with ServeMetrics
-// (/debug/vars + /debug/pprof). Both are strictly opt-in; an
-// uninstrumented Code pays nothing.
+// (Config.Metrics) for outcome/per-model counters and the iteration
+// histogram, a TraceFunc (Config.Trace) for per-trial events, and a
+// LatencyCollector's probe (Config.Latency) for per-outcome encode and
+// decode time histograms — the probe is the only clock, and only a
+// probed Code stamps Report.Elapsed. Serve everything live with
+// ServeMetrics (/debug/vars + /debug/pprof). All three are strictly
+// opt-in; an uninstrumented Code pays nothing.
 package polyecc
 
 import (
 	"polyecc/internal/dram"
 	"polyecc/internal/faults"
+	"polyecc/internal/latency"
 	"polyecc/internal/mac"
 	"polyecc/internal/poly"
 	"polyecc/internal/telemetry"
@@ -68,10 +71,18 @@ type (
 	Injector = faults.Injector
 
 	// DecodeMetrics collects live decode-path telemetry: outcome
-	// counters, per-fault-model trial/hit counters, and
-	// iteration/latency histograms. Attach one via Config.Metrics and
-	// publish it to /debug/vars with its Publish method.
+	// counters, per-fault-model trial/hit counters, and the iteration
+	// histogram. Attach one via Config.Metrics and publish it to
+	// /debug/vars with its Publish method.
 	DecodeMetrics = telemetry.DecodeMetrics
+	// LatencyCollector keeps allocation-free encode and decode time
+	// histograms per outcome class (encode, clean, corrected,
+	// uncorrectable). Attach a probe via Config.Latency =
+	// collector.Probe() (one probe per goroutine; Probe.Fork mints
+	// more), read per-class percentiles from Payload().Ops (keyed
+	// "encode", "clean", "corrected", "uncorrectable"), and publish
+	// them to /debug/vars with Publish.
+	LatencyCollector = latency.Collector
 	// TraceEvent describes one candidate application within a
 	// correction trial (Config.Trace receives these).
 	TraceEvent = poly.TraceEvent
@@ -129,10 +140,13 @@ func ConfigM131049() Config { return poly.ConfigM131049() }
 // bucket layout; share it across Codes and goroutines freely.
 func NewDecodeMetrics() *DecodeMetrics { return telemetry.NewDecodeMetrics() }
 
+// NewLatencyCollector builds an empty encode/decode timing collector.
+func NewLatencyCollector() *LatencyCollector { return latency.NewCollector() }
+
 // ServeMetrics starts the observability HTTP server (/debug/vars with
 // every published collector plus /debug/pprof) on addr in a background
 // goroutine, returning the resolved listen address.
-func ServeMetrics(addr string) (string, error) { return telemetry.StartServer(addr) }
+func ServeMetrics(addr string) (string, error) { return telemetry.StartServer(addr, nil, nil) }
 
 // NewSipHashMAC returns a SipHash-2-4 MAC truncated to bits — the fast
 // software default.

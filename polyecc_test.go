@@ -81,3 +81,26 @@ func TestFacadeConfigs(t *testing.T) {
 		}
 	}
 }
+
+// The re-exported latency collector is the facade's decode timer: a
+// probed Code records each decode under its outcome class and stamps
+// Report.Elapsed.
+func TestFacadeLatencyCollector(t *testing.T) {
+	coll := polyecc.NewLatencyCollector()
+	cfg := polyecc.ConfigM2005()
+	cfg.Latency = coll.Probe()
+	code := polyecc.MustNew(cfg, polyecc.NewSipHashMAC(key, 40))
+	var data [polyecc.LineBytes]byte
+	rand.New(rand.NewSource(3)).Read(data[:])
+	line := code.EncodeLine(&data)
+	line.Words[1] = line.Words[1].FlipBit(30)
+	got, rep := code.DecodeLine(line)
+	if rep.Status != polyecc.StatusCorrected || got != data || rep.Elapsed <= 0 {
+		t.Fatalf("probed correction: %+v", rep)
+	}
+	ops := coll.Payload().Ops
+	if ops["encode"].Count != 1 || ops["corrected"].Count != 1 || ops["clean"].Count != 0 {
+		t.Fatalf("collector counts: encode=%d corrected=%d clean=%d",
+			ops["encode"].Count, ops["corrected"].Count, ops["clean"].Count)
+	}
+}

@@ -12,12 +12,14 @@
 # within 1.25x of the bare clean decode and the other attached-path
 # variants within 3x of their bare counterparts; every latency-gated
 # scenario within -gate-tolerance of the committed BENCH_decode.json
-# baseline; and the remainder->hint tables within their 4 MiB per-codec
-# budget.
+# baseline; and every poly codec's fast or hint tables within their
+# 4 MiB per-codec budget.
 # `make fastpath-smoke` proves the fast path bit-identical to the
-# legacy enumeration (differential tables, decode equivalence, golden
-# vectors), the packed hint tables bucket-identical to the map builder,
-# and the word-parallel wire layer bit-identical to the bitwise oracle.
+# enumeration (differential tables, decode equivalence, golden
+# vectors), the packed hint tables bucket-identical to the map builder
+# without a dedupe, each code's tables built straight at their kept
+# size, and the word-parallel wire layer bit-identical to the bitwise
+# oracle.
 # `make fmt-check` fails on any file gofmt would change.
 # `make results-check` regenerates every results/ file that takes
 # seconds and fails on any byte that differs.
@@ -63,19 +65,23 @@ results-check:
 	if [ $$status -ne 0 ]; then exit 1; fi
 	@echo "results-check: ten results files match their commands"
 
-# Differential proof that the candidate-free fast path (remainder->hint
-# tables + incremental MAC) decodes bit-identically to the legacy
-# enumeration: per-remainder candidate-list equality, randomized decode
-# equivalence, incremental-MAC algebra, and the pinned golden vectors.
-# The packed DEC/BF+BF hint tables are checked bucket by bucket against
-# the map builder they replaced, and the word-parallel wire views are
-# fuzzed against the bitwise oracle for every accepted geometry.
+# Differential proof that the candidate-free fast path (remainder-indexed
+# fast tables + incremental MAC) decodes bit-identically to the
+# enumeration over hint tables: per-remainder candidate-list equality
+# for every remainder, randomized decode equivalence, incremental-MAC
+# algebra, and the pinned golden vectors. The packed DEC/BF+BF hint
+# tables are checked bucket by bucket against the map builder they
+# replaced; the pair models' deltas are proved distinct modulo every
+# admissible multiplier, so no table needs a dedupe; each code holds
+# only the tables its decode reads, counted by HintTableBytes, and New
+# allocates little beyond them. The word-parallel wire views are fuzzed
+# against the bitwise oracle for every accepted geometry.
 fastpath-smoke:
-	$(GO) test ./internal/poly -run 'TestHintTableDifferential|TestChipKillPlus1Differential|TestFastDecodeEquivalence|TestHintTableBytes|TestGoldenVectors|TestHintTablesMatchMapBuilder|TestHintTableDedupe' -count=1
+	$(GO) test ./internal/poly -run 'TestHintTableDifferential|TestChipKillPlus1Differential|TestFastDecodeEquivalence|TestHintTableBytes|TestGoldenVectors|TestHintTablesMatchMapBuilder|TestPairDeltasDistinctModM|TestNewAllocations' -count=1
 	$(GO) test ./internal/mac -run 'TestSumSave|TestSumFrom' -count=1
 	$(GO) test ./internal/dram -run 'TestWireLayoutOracle|TestAcceptedGeometries|FuzzWireLayout' -count=1
 	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzWireLayout$$' -fuzztime 10s
-	@echo "fastpath-smoke: hint tables, incremental MAC and wire layout match their oracles"
+	@echo "fastpath-smoke: fast and hint tables, incremental MAC and wire layout match their oracles; tables need no dedupe and are built at kept size"
 
 # Formatting gate: gofmt must have nothing to say about the tree.
 fmt-check:

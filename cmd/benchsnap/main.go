@@ -75,20 +75,20 @@ type Snapshot struct {
 	GOARCH      string              `json:"goarch"`
 	Config      string              `json:"config"`
 	Manifest    *telemetry.Manifest `json:"manifest,omitempty"`
-	// HintTables records the remainder→hint table footprint per poly
-	// codec (bytes), so table growth shows up in the perf trajectory.
+	// HintTables records, per poly codec, the bytes of every
+	// remainder-indexed table it holds (fast or hint tables), so table
+	// growth shows up in the perf trajectory.
 	HintTables map[string]int64 `json:"hint_table_bytes,omitempty"`
 	Benchmarks []Result         `json:"benchmarks"`
 }
 
-// hintTableBudget caps each codec's remainder→hint tables: the fast
-// path trades memory for candidate enumeration, and the trade only
-// holds while the tables stay a few L2-sized megabytes.
+// hintTableBudget caps the tables each codec holds: correction trades
+// memory for candidate enumeration, and the trade only holds while the
+// tables stay a few L2-sized megabytes.
 const hintTableBudget = 4 << 20
 
-// hintTableBytes collects the per-codec hint-table footprint from the
-// registry. Codecs without tables (large M, non-poly schemes) are
-// omitted.
+// hintTableBytes collects the per-codec table footprint from the
+// registry. Non-poly schemes hold none and are omitted.
 func hintTableBytes() map[string]int64 {
 	out := map[string]int64{}
 	for _, name := range linecode.Names() {

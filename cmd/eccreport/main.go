@@ -1157,7 +1157,7 @@ svg { background: #fafbfc; border: 1px solid #ddd; }
 {{end}}</table>
 {{if .Bench.HintTables}}
 <h3>Remainder&rarr;hint tables</h3>
-<p class="muted">per-codec candidate-free correction table footprint (budget 4 MiB each)</p>
+<p class="muted">per-codec footprint of the fast or hint tables its decode reads (budget 4 MiB each)</p>
 <table>
 <tr><th>codec</th><th class="num">bytes</th></tr>
 {{range $codec, $bytes := .Bench.HintTables}}<tr><td>{{$codec}}</td><td class="num">{{$bytes}}</td></tr>

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"polyecc/internal/dram"
@@ -10,6 +9,7 @@ import (
 	"polyecc/internal/linecode"
 	"polyecc/internal/mac"
 	"polyecc/internal/poly"
+	"polyecc/internal/reliability"
 	"polyecc/internal/rowhammer"
 	"polyecc/internal/stats"
 )
@@ -151,7 +151,7 @@ func runModelRow(symBits int, inj faults.Injector, codes []linecode.Code, trials
 			Corrected: float64(tally[ci].ok) / total,
 		})
 	}
-	row.AnalyticSDC = row.Iterations.Mean() * math.Pow(2, -float64(macBits))
+	row.AnalyticSDC = reliability.SDCPerCorrection(row.Iterations.Mean(), macBits)
 	return row
 }
 
@@ -199,7 +199,7 @@ func RowhammerRowWith(patterns int, seed int64, codes []linecode.Code) TableVRow
 			Corrected: float64(tally[ci].ok) / total,
 		})
 	}
-	row.AnalyticSDC = row.Iterations.Mean() * math.Pow(2, -40)
+	row.AnalyticSDC = reliability.SDCPerCorrection(row.Iterations.Mean(), 40)
 	return row
 }
 
@@ -262,7 +262,7 @@ func Figure10(trials int, seed int64) []Figure10Point {
 			p.Iterations.Add(float64(iters))
 		}
 		p.DUE = float64(due) / float64(trials)
-		p.AnalyticSDC = p.Iterations.Mean() * math.Pow(2, -40)
+		p.AnalyticSDC = reliability.SDCPerCorrection(p.Iterations.Mean(), 40)
 		out = append(out, p)
 	}
 	return out

@@ -8,13 +8,26 @@ import (
 	"polyecc/internal/poly"
 )
 
-// fuzzCodes builds every registered codec once; a poly.Code's hint
-// tables are expensive to rebuild per fuzz iteration and every Code is
-// safe for concurrent decode.
+// fuzzCodes builds every registered codec once; a poly.Code's tables
+// are expensive to rebuild per fuzz iteration and every Code is safe for
+// concurrent decode.
 var fuzzCodes = func() []Code {
 	var out []Code
 	for _, n := range Names() {
 		out = append(out, MustNew(n))
+	}
+	return out
+}()
+
+// enumCodes holds, by codec name, the enumeration oracle of every
+// Polymorphic code in fuzzCodes (poly.Code.WithEnumeratedCandidates),
+// built once: a fast code's copy builds its hint tables.
+var enumCodes = func() map[string]*poly.Code {
+	out := map[string]*poly.Code{}
+	for _, code := range fuzzCodes {
+		if p, ok := code.(Poly); ok {
+			out[code.Name()] = p.C.WithEnumeratedCandidates()
+		}
 	}
 	return out
 }()
@@ -50,14 +63,14 @@ func FuzzCodecs(f *testing.F) {
 					t.Errorf("%s: clean round trip corrupted the data", code.Name())
 				}
 			}
-			// Polymorphic codes with hint tables must decode identically
-			// through the legacy runtime enumeration — data AND report.
-			if p, ok := code.(Poly); ok && p.C.HintTableBytes() > 0 {
+			// Polymorphic codes must decode identically through the
+			// runtime enumeration with full-line MACs — data AND report.
+			if p, ok := code.(Poly); ok {
 				line := p.C.FromBurst(&b)
 				fastData, fastRep := p.C.DecodeLine(line)
-				enumData, enumRep := p.C.WithEnumeratedCandidates().DecodeLine(line)
+				enumData, enumRep := enumCodes[code.Name()].DecodeLine(line)
 				if fastData != enumData || fastRep != enumRep {
-					t.Errorf("%s: hint-table decode diverges from enumeration:\n fast %+v\n enum %+v",
+					t.Errorf("%s: decode diverges from enumeration:\n fast %+v\n enum %+v",
 						code.Name(), fastRep, enumRep)
 				}
 			}
@@ -92,14 +105,12 @@ func FuzzBatchedDecode(f *testing.F) {
 			b.Xor(&mask)
 			line := p.C.FromBurst(&b)
 			want, wantRep := p.C.DecodeLine(line)
-			if p.C.HintTableBytes() > 0 {
-				// The enumeration oracle must match the fast path through
-				// the single-line entry point before the batch comparison.
-				enumData, enumRep := p.C.WithEnumeratedCandidates().DecodeLine(line)
-				if enumData != want || enumRep != wantRep {
-					t.Errorf("%s: enumeration decode diverges:\n fast %+v\n enum %+v",
-						code.Name(), wantRep, enumRep)
-				}
+			// The enumeration oracle must match the fast path through the
+			// single-line entry point before the batch comparison.
+			enumData, enumRep := enumCodes[code.Name()].DecodeLine(line)
+			if enumData != want || enumRep != wantRep {
+				t.Errorf("%s: enumeration decode diverges:\n fast %+v\n enum %+v",
+					code.Name(), wantRep, enumRep)
 			}
 			s := p.C.NewScratch()
 			// The same line twice in one batch also checks that the first

@@ -583,13 +583,6 @@ func (c *Controller) RetiredPage(page int) bool {
 	return c.retired[page]
 }
 
-// CodecIndex returns region's position on the migration ladder.
-func (c *Controller) CodecIndex(region int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.regionCodec[region]
-}
-
 // CodecName returns the linecode registry name region should be encoded
 // with, or "" when no ladder is configured.
 func (c *Controller) CodecName(region int) string {

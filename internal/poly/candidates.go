@@ -2,6 +2,7 @@ package poly
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"polyecc/internal/residue"
@@ -249,7 +250,7 @@ func (c *Code) sscCandidatesAt(dst []correction, s *Scratch, w wideint.U192, rem
 func (c *Code) decCandidates(dst []correction, s *Scratch, w wideint.U192, rem uint64) []correction {
 	if c.fast != nil {
 		// Singles always cost below pairs, so the concatenation of the two
-		// pruned, cost-sorted runs is the legacy globally-sorted list.
+		// pruned, cost-sorted runs is the enumeration's globally-sorted list.
 		dst = c.fastSingles(dst, w, rem, ModelDEC)
 		return c.fastDECPairs(dst, w, rem)
 	}
@@ -257,22 +258,18 @@ func (c *Code) decCandidates(dst []correction, s *Scratch, w wideint.U192, rem u
 	for _, cand := range c.symbolCandidates(s, rem) {
 		raw = append(raw, corr1(cand.Symbol, cand.Delta))
 	}
-	raw = c.pairCandidates(raw, rem, ModelDEC)
+	raw = c.decPairs(raw, rem)
 	return c.finishCandidates(w, raw, ModelDEC)
 }
 
-// bfbfCandidates reinterprets a remainder as a double bounded fault
-// anywhere in the codeword (used by the aliasing-degree studies; the
-// corrector itself walks pair hypotheses via bfbfCandidatesAt).
-func (c *Code) bfbfCandidates(dst []correction, s *Scratch, w wideint.U192, rem uint64) []correction {
-	if c.fast != nil && c.fast.bfbfIdx != nil {
-		// The gathered runs keep the hint bucket's raw order for ties, so
-		// the same finish sort reproduces the legacy list — with Eq. 3
-		// pre-solved instead of one MulMod chain per stored hint.
-		return c.finishCandidates(w, c.fastBFBFGather(dst, rem), ModelBFBF)
+// decZeroCandidates is the DEC hint bucket of remainder zero, pruned:
+// the pairs the zero-remainder phase (§VIII-A) tries on clean-looking
+// codewords.
+func (c *Code) decZeroCandidates(dst []correction, w wideint.U192) []correction {
+	if c.fast != nil {
+		return c.fastDECPairs(dst, w, 0)
 	}
-	raw := c.pairCandidates(dst, rem, ModelBFBF)
-	return c.finishCandidates(w, raw, ModelBFBF)
+	return c.finishCandidates(w, c.decPairs(dst, 0), ModelDEC)
 }
 
 // bfbfCandidatesAt restricts the double-bounded-fault hints to one
@@ -283,7 +280,7 @@ func (c *Code) bfbfCandidatesAt(dst []correction, s *Scratch, w wideint.U192, re
 	if c.fast != nil {
 		// Singles sort below pairs; the two surviving singles (at most one
 		// per device) order by cost with the devA-first tie-break the
-		// stable legacy sort produces.
+		// stable enumeration sort produces.
 		var singles [2]correction
 		ns := 0
 		for _, dev := range [2]int{devA, devB} {
@@ -303,7 +300,7 @@ func (c *Code) bfbfCandidatesAt(dst []correction, s *Scratch, w wideint.U192, re
 		return c.fastBFBFAt(dst, w, rem, devA, devB)
 	}
 	raw := dst
-	for _, h := range c.bfbfHints.bucket(rem) {
+	for _, h := range c.bfbfHints.at(rem) {
 		if int(h.symA) != devA || int(h.symB) != devB {
 			continue
 		}
@@ -323,12 +320,11 @@ func (c *Code) bfbfCandidatesAt(dst []correction, s *Scratch, w wideint.U192, re
 	return c.finishCandidates(w, raw, ModelBFBF)
 }
 
-// pairCandidates expands the stored hints of a double-symbol fault model:
-// each hint names the two faulty symbols and the second error; the first
-// is derived with Eq. 3.
-func (c *Code) pairCandidates(dst []correction, rem uint64, model FaultModel) []correction {
+// decPairs expands the stored DEC hints: each hint names the two faulty
+// symbols and the second error; the first is derived with Eq. 3.
+func (c *Code) decPairs(dst []correction, rem uint64) []correction {
 	out := dst
-	for _, h := range c.hints(model).bucket(rem) {
+	for _, h := range c.decHints.at(rem) {
 		dA, ok := c.tab.SolvePair(rem, int(h.symA), int(h.symB), int64(h.deltaB))
 		if !ok {
 			continue
@@ -338,108 +334,96 @@ func (c *Code) pairCandidates(dst []correction, rem uint64, model FaultModel) []
 	return out
 }
 
-// hintTable is a double-symbol fault model's remainder→hint buckets,
-// stored the way fastTables stores its runs: bucket rem is
-// hints[idx[rem]:idx[rem+1]], one exact-size packed slice for the whole
-// table, each bucket in enumeration order with duplicates removed.
-type hintTable struct {
-	idx   []uint32 // len M+1 prefix offsets into hints
-	hints []pairHint
-}
+// pairEnumerator calls emit for every error of a double-symbol fault
+// model — delta dA on symbol sA plus dB on sB, sA < sB — with its
+// remainder, symbol pair outermost. Emission order is run order, which
+// breaks cost ties in every sorted run and so fixes trial order: the
+// golden vectors pin the enumerators' loop order. No two emissions share
+// (rem, sA, sB, dB): that would need two of the model's deltas congruent
+// mod M, and TestPairDeltasDistinctModM proves no admissible M allows it.
+type pairEnumerator func(emit func(rem uint64, sA, sB int, dA, dB int64))
 
-// bucket returns remainder rem's hints; a nil table has none.
-func (t *hintTable) bucket(rem uint64) []pairHint {
-	if t == nil {
+// pairEnum returns a configured double-symbol fault model's enumerator:
+// nil for a model that is not configured or whose candidates Eq. 2
+// derives alone.
+func (c *Code) pairEnum(m FaultModel) pairEnumerator {
+	if !slices.Contains(c.models, m) {
 		return nil
 	}
-	return t.hints[t.idx[rem]:t.idx[rem+1]]
-}
-
-// hints returns a fault model's hint table, nil for the models that
-// derive their candidates purely at runtime.
-func (c *Code) hints(m FaultModel) *hintTable {
 	switch m {
 	case ModelDEC:
-		return c.decHints
+		return c.decHintEnum
 	case ModelBFBF:
-		return c.bfbfHints
+		return c.bfbfHintEnum
 	}
 	return nil
 }
 
-// pairEnumerator calls emit for every hint of a double-symbol fault
-// model, symbol pair (sA<sB) outermost, so the hints of one pair are
-// contiguous within every bucket.
-type pairEnumerator func(emit func(rem uint64, h pairHint))
-
-// buildHintTable files every hint enum produces under its remainder in
-// two passes — count, then fill — and dedupes each bucket in place,
-// keeping first occurrences in order.
-func (c *Code) buildHintTable(enum pairEnumerator) *hintTable {
-	M := c.cfg.M
-	t := &hintTable{idx: make([]uint32, M+1)}
-	// Count bucket rem into idx[rem+2] and prefix-sum, leaving
-	// idx[rem+1] at bucket rem's start; the fill then uses idx[rem+1] as
-	// rem's cursor, which ends at rem's end — the next bucket's start.
-	n := 0
-	enum(func(rem uint64, _ pairHint) {
-		n++
-		if rem+2 <= M {
-			t.idx[rem+2]++
+// buildHintTables builds the DEC and BF+BF hint tables of the configured
+// models — the paper's stored sub-entries (sym1, sym2, err2), err1 left
+// to Eq. 3 — for a code that decodes by enumeration.
+func (c *Code) buildHintTables() {
+	hints := func(enum pairEnumerator) runs[pairHint] {
+		if enum == nil {
+			return runs[pairHint]{}
 		}
-	})
-	for i := uint64(2); i <= M; i++ {
-		t.idx[i] += t.idx[i-1]
+		return buildRuns(c.cfg.M, func(emit func(uint64, pairHint)) {
+			enum(func(rem uint64, sA, sB int, _, dB int64) {
+				emit(rem, pairHint{symA: int8(sA), symB: int8(sB), deltaB: int32(dB)})
+			})
+		})
 	}
-	t.hints = make([]pairHint, n)
-	enum(func(rem uint64, h pairHint) {
-		t.hints[t.idx[rem+1]] = h
-		t.idx[rem+1]++
-	})
-	// Duplicates share their symbol pair, so each hint is checked only
-	// against the kept hints of its own pair run.
-	kept, lo := uint32(0), uint32(0)
-	for rem := uint64(0); rem < M; rem++ {
-		start, hi := kept, t.idx[rem+1]
-		for _, h := range t.hints[lo:hi] {
-			dup := false
-			for j := int(kept) - 1; j >= int(start) && t.hints[j].symA == h.symA && t.hints[j].symB == h.symB; j-- {
-				if t.hints[j] == h {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				t.hints[kept] = h
-				kept++
-			}
-		}
-		t.idx[rem], lo = start, hi
-	}
-	t.idx[M] = kept
-	if int(kept) < n {
-		exact := make([]pairHint, kept)
-		copy(exact, t.hints)
-		t.hints = exact
-	}
-	return t
+	c.decHints = hints(c.pairEnum(ModelDEC))
+	c.bfbfHints = hints(c.pairEnum(ModelBFBF))
 }
 
-// decHintEnum enumerates every cross-symbol double-bit error as a hint
-// (locations plus second delta). Same-symbol pairs are recoverable from
-// Eq. 2 directly and are not stored.
-func (c *Code) decHintEnum(emit func(rem uint64, h pairHint)) {
+// deltaRemainders returns SymbolRemainder(deltas[i], s) at
+// [s*len(deltas)+i], so the pair enumerators add two table entries per
+// pair instead of reducing both deltas.
+func (c *Code) deltaRemainders(deltas []int64) []uint64 {
+	n := len(deltas)
+	out := make([]uint64, c.cfg.Geometry.NumSymbols*n)
+	for s := 0; s < c.cfg.Geometry.NumSymbols; s++ {
+		for i, d := range deltas {
+			out[s*n+i] = c.tab.SymbolRemainder(d, s)
+		}
+	}
+	return out
+}
+
+// addMod adds two remainders mod M.
+func (c *Code) addMod(a, b uint64) uint64 {
+	if a += b; a >= c.cfg.M {
+		a -= c.cfg.M
+	}
+	return a
+}
+
+// bitDeltas are the signed errors a single bit flip can put on a
+// symbol: +2^t then -2^t for every bit t < 32. A symbol of S bits takes
+// the first 2S.
+var bitDeltas = func() []int64 {
+	out := make([]int64, 0, 64)
+	for t := 0; t < 32; t++ {
+		out = append(out, int64(1)<<uint(t), -(int64(1) << uint(t)))
+	}
+	return out
+}()
+
+// decHintEnum enumerates every cross-symbol double-bit error. Same-symbol
+// pairs are recoverable from Eq. 2 directly and are not stored.
+func (c *Code) decHintEnum(emit func(rem uint64, sA, sB int, dA, dB int64)) {
 	g := c.cfg.Geometry
+	deltas := bitDeltas[:2*g.SymbolBits]
+	rems := c.deltaRemainders(deltas)
+	n := len(deltas)
 	for sA := 0; sA < g.NumSymbols; sA++ {
 		for sB := sA + 1; sB < g.NumSymbols; sB++ {
 			for tA := 0; tA < g.SymbolBits; tA++ {
 				for tB := 0; tB < g.SymbolBits; tB++ {
-					for _, signA := range []int64{1, -1} {
-						for _, signB := range []int64{1, -1} {
-							dA := signA << uint(tA)
-							dB := signB << uint(tB)
-							rem := (c.tab.SymbolRemainder(dA, sA) + c.tab.SymbolRemainder(dB, sB)) % c.cfg.M
-							emit(rem, pairHint{symA: int8(sA), symB: int8(sB), deltaB: int32(dB)})
+					for _, iA := range [2]int{2 * tA, 2*tA + 1} {
+						for _, iB := range [2]int{2 * tB, 2*tB + 1} {
+							emit(c.addMod(rems[sA*n+iA], rems[sB*n+iB]), sA, sB, deltas[iA], deltas[iB])
 						}
 					}
 				}
@@ -461,14 +445,15 @@ var nibbleDeltas = func() []int64 {
 // bfbfHintEnum enumerates double bounded faults: two beat-aligned
 // nibble corruptions in different symbols (a bounded fault is what one
 // beat of one x4 device can corrupt).
-func (c *Code) bfbfHintEnum(emit func(rem uint64, h pairHint)) {
+func (c *Code) bfbfHintEnum(emit func(rem uint64, sA, sB int, dA, dB int64)) {
 	g := c.cfg.Geometry
+	rems := c.deltaRemainders(nibbleDeltas)
+	n := len(nibbleDeltas)
 	for sA := 0; sA < g.NumSymbols; sA++ {
 		for sB := sA + 1; sB < g.NumSymbols; sB++ {
-			for _, dA := range nibbleDeltas {
-				for _, dB := range nibbleDeltas {
-					rem := (c.tab.SymbolRemainder(dA, sA) + c.tab.SymbolRemainder(dB, sB)) % c.cfg.M
-					emit(rem, pairHint{symA: int8(sA), symB: int8(sB), deltaB: int32(dB)})
+			for iA, dA := range nibbleDeltas {
+				for iB, dB := range nibbleDeltas {
+					emit(c.addMod(rems[sA*n+iA], rems[sB*n+iB]), sA, sB, dA, dB)
 				}
 			}
 		}

@@ -202,7 +202,8 @@ func (c *Code) tryModel(model FaultModel, base []wideint.U192, rems []uint64, co
 		// Hypothesis: devices (a, b) each suffered a bounded fault — the
 		// fault pair is a device-level event, so it is correlated across
 		// the cacheline like ChipKill. Per codeword the nibble deltas
-		// come from the hint bucket filtered to the hypothesized pair.
+		// come from the pair's fast-table run, or from the hint bucket
+		// filtered to the pair.
 		n := c.cfg.Geometry.NumSymbols
 		for devA := 0; devA < n; devA++ {
 			for devB := devA + 1; devB < n; devB++ {
@@ -272,9 +273,9 @@ func (c *Code) tryModel(model FaultModel, base []wideint.U192, rems []uint64, co
 		return false, nil
 
 	default:
-		// Independent per-codeword models: SSC, DEC, BF+BF.
+		// Independent per-codeword models: SSC and DEC.
 		dims := corrupted
-		if c.cfg.TryZeroRemainder && c.hints(model) != nil {
+		if c.cfg.TryZeroRemainder && model == ModelDEC {
 			// Phase two (§VIII-A): errors aliasing to remainder zero are
 			// also considered, so clean-looking codewords get a no-op
 			// candidate plus the zero-remainder hint bucket.
@@ -306,11 +307,12 @@ func prependNoop(list []correction) []correction {
 	return list
 }
 
-// modelCandidates dispatches per-codeword candidate generation.
+// modelCandidates dispatches per-codeword candidate generation for the
+// independent models.
 func (c *Code) modelCandidates(dst []correction, s *Scratch, model FaultModel, w wideint.U192, rem uint64) []correction {
 	if rem == 0 {
-		if c.cfg.TryZeroRemainder && c.hints(model) != nil {
-			return c.pairCandidatesPruned(dst, w, model)
+		if c.cfg.TryZeroRemainder && model == ModelDEC {
+			return c.decZeroCandidates(dst, w)
 		}
 		return dst
 	}
@@ -319,27 +321,8 @@ func (c *Code) modelCandidates(dst []correction, s *Scratch, model FaultModel, w
 		return c.sscCandidates(dst, s, w, rem)
 	case ModelDEC:
 		return c.decCandidates(dst, s, w, rem)
-	case ModelBFBF:
-		return c.bfbfCandidates(dst, s, w, rem)
 	}
 	return dst
-}
-
-// pairCandidatesPruned is the zero-remainder hint bucket with pruning.
-func (c *Code) pairCandidatesPruned(dst []correction, w wideint.U192, model FaultModel) []correction {
-	if c.fast != nil {
-		switch model {
-		case ModelDEC:
-			if c.fast.decIdx != nil {
-				return c.fastDECPairs(dst, w, 0)
-			}
-		case ModelBFBF:
-			if c.fast.bfbfIdx != nil {
-				return c.finishCandidates(w, c.fastBFBFGather(dst, 0), model)
-			}
-		}
-	}
-	return c.finishCandidates(w, c.pairCandidates(dst, 0, model), model)
 }
 
 // runCounter is the ITER_DRVR of Figure 9(e), implementing Algorithm 2:

@@ -3,6 +3,7 @@ package poly
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"polyecc/internal/mac"
@@ -10,22 +11,19 @@ import (
 )
 
 // fastTestCodes builds each small-M configuration with its fast tables
-// (the default) and the remainder stride to sample: m511 is exhaustive,
-// the larger multipliers sampled.
+// (the default).
 func fastTestCodes(t *testing.T) []struct {
-	name   string
-	c      *Code
-	stride uint64
+	name string
+	c    *Code
 } {
 	t.Helper()
 	return []struct {
-		name   string
-		c      *Code
-		stride uint64
+		name string
+		c    *Code
 	}{
-		{"m511", MustNew(ConfigM511(), mac.MustSipHash(testKey, 56)), 1},
-		{"m1021", MustNew(ConfigM1021(), mac.MustSipHash(testKey, 48)), 7},
-		{"m2005", MustNew(ConfigM2005(), mac.MustSipHash(testKey, 40)), 13},
+		{"m511", MustNew(ConfigM511(), mac.MustSipHash(testKey, 56))},
+		{"m1021", MustNew(ConfigM1021(), mac.MustSipHash(testKey, 48))},
+		{"m2005", MustNew(ConfigM2005(), mac.MustSipHash(testKey, 40))},
 	}
 }
 
@@ -51,8 +49,8 @@ func randomWords(c *Code, r *rand.Rand, n int) []wideint.U192 {
 
 // TestHintTableDifferential holds every fast-table candidate generator
 // bit-identical — same candidates, same order, same valid flags — to the
-// legacy runtime enumeration (Code.WithEnumeratedCandidates), across
-// every remainder of m511 and sampled remainders of m1021/m2005.
+// runtime enumeration over hint tables (Code.WithEnumeratedCandidates),
+// across every remainder of m511, m1021 and m2005.
 func TestHintTableDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for _, tc := range fastTestCodes(t) {
@@ -74,7 +72,7 @@ func TestHintTableDifferential(t *testing.T) {
 					t.Fatalf("rem %d word %v %s:\n fast %+v\n slow %+v", rem, w, what, got, want)
 				}
 			}
-			for rem := uint64(1); rem < fast.cfg.M; rem += tc.stride {
+			for rem := uint64(1); rem < fast.cfg.M; rem++ {
 				w := words[rem%uint64(len(words))]
 				sf.symCacheOK, ss.symCacheOK = false, false
 				check(rem, w, "ssc",
@@ -85,23 +83,20 @@ func TestHintTableDifferential(t *testing.T) {
 						fast.sscCandidatesAt(nil, sf, w, rem, sym),
 						slow.sscCandidatesAt(nil, ss, w, rem, sym))
 				}
-				if fast.decHints != nil {
-					check(rem, w, "dec",
-						fast.decCandidates(nil, sf, w, rem),
-						slow.decCandidates(nil, ss, w, rem))
-				}
-				if fast.bfbfHints != nil {
-					check(rem, w, "bfbf",
-						fast.bfbfCandidates(nil, sf, w, rem),
-						slow.bfbfCandidates(nil, ss, w, rem))
-					for devA := 0; devA < n; devA++ {
-						for devB := devA + 1; devB < n; devB++ {
-							check(rem, w, "bfbfAt",
-								fast.bfbfCandidatesAt(nil, sf, w, rem, devA, devB),
-								slow.bfbfCandidatesAt(nil, ss, w, rem, devA, devB))
-						}
+				check(rem, w, "dec",
+					fast.decCandidates(nil, sf, w, rem),
+					slow.decCandidates(nil, ss, w, rem))
+				for devA := 0; devA < n; devA++ {
+					for devB := devA + 1; devB < n; devB++ {
+						check(rem, w, "bfbfAt",
+							fast.bfbfCandidatesAt(nil, sf, w, rem, devA, devB),
+							slow.bfbfCandidatesAt(nil, ss, w, rem, devA, devB))
 					}
 				}
+			}
+			// The zero-remainder phase's DEC pairs.
+			for _, w := range words {
+				check(0, w, "decZero", fast.decZeroCandidates(nil, w), slow.decZeroCandidates(nil, w))
 			}
 		})
 	}
@@ -177,29 +172,81 @@ func TestFastDecodeEquivalence(t *testing.T) {
 	}
 }
 
-// TestHintTableBytes pins the memory-budget contract: every small-M
-// codec carries fast tables within the few-MB budget, and the legacy
-// regimes carry none.
+// heldTableBytes is the footprint of the tables a code holds, counted
+// from their lengths: 4-byte offsets and sscAt entries, 8-byte
+// candidates and hints.
+func heldTableBytes(c *Code) int {
+	n := 4*(len(c.decHints.idx)+len(c.bfbfHints.idx)) + 8*(len(c.decHints.items)+len(c.bfbfHints.items))
+	if f := c.fast; f != nil {
+		n += 4*(len(f.ssc.idx)+len(f.sscAt)+len(f.dec.idx)+len(f.bfbf.idx)) +
+			8*(len(f.ssc.items)+len(f.dec.items)+len(f.bfbf.items))
+	}
+	return n
+}
+
+// TestHintTableBytes pins the memory-budget contract: HintTableBytes
+// counts every table a code holds, within the few-MB budget. A fast code
+// holds its fast tables and no hint table; its enumerated copy holds the
+// hint tables instead, as m131049 and the DisablePrune ablation do.
 func TestHintTableBytes(t *testing.T) {
 	const budget = 4 << 20
-	for _, tc := range fastTestCodes(t) {
-		b := tc.c.HintTableBytes()
-		if b <= 0 {
-			t.Errorf("%s: no fast tables (%d bytes)", tc.name, b)
+	check := func(name string, c *Code, fast bool) {
+		t.Helper()
+		b := c.HintTableBytes()
+		if b <= 0 || b != heldTableBytes(c) {
+			t.Errorf("%s: HintTableBytes %d, tables held %d bytes", name, b, heldTableBytes(c))
 		}
 		if b > budget {
-			t.Errorf("%s: fast tables %d bytes exceed %d budget", tc.name, b, budget)
+			t.Errorf("%s: tables %d bytes exceed %d budget", name, b, budget)
 		}
-		if tc.c.WithEnumeratedCandidates().HintTableBytes() != 0 {
-			t.Errorf("%s: enumerated copy still reports table bytes", tc.name)
+		if (c.fast != nil) != fast {
+			t.Errorf("%s: fast tables built = %v, want %v", name, c.fast != nil, fast)
+		}
+		if hints := c.decHints.idx != nil || c.bfbfHints.idx != nil; hints == fast {
+			t.Errorf("%s: hint tables built = %v beside fast tables = %v", name, hints, fast)
 		}
 	}
-	large := MustNew(ConfigM131049(), mac.MustSipHash(testKey, 60))
-	if large.HintTableBytes() != 0 {
-		t.Errorf("m131049 built fast tables; large-M must fall back to enumeration")
+	for _, tc := range fastTestCodes(t) {
+		check(tc.name, tc.c, true)
+		check(tc.name+"/enumerated", tc.c.WithEnumeratedCandidates(), false)
 	}
+	zr := ConfigM2005()
+	zr.TryZeroRemainder = true
+	check("m2005-zr", MustNew(zr, mac.MustSipHash(testKey, 40)), true)
+	check("m131049", MustNew(ConfigM131049(), mac.MustSipHash(testKey, 60)), false)
 	ablated := Config{Geometry: ConfigM2005().Geometry, M: 2005, DisablePrune: true}
-	if MustNew(ablated, mac.MustSipHash(testKey, 40)).HintTableBytes() != 0 {
-		t.Errorf("DisablePrune ablation built fast tables")
+	check("m2005/DisablePrune", MustNew(ablated, mac.MustSipHash(testKey, 40)), false)
+}
+
+// TestNewAllocations holds construction to the tables it keeps: New
+// allocates at most 1.25x HintTableBytes in at most 40 allocations, so
+// no build detour allocates tables only to throw them away.
+func TestNewAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		bits int
+	}{
+		{"m2005", ConfigM2005(), 40},
+		{"m131049", ConfigM131049(), 60},
+	} {
+		m := mac.MustSipHash(testKey, tc.bits)
+		held := MustNew(tc.cfg, m).HintTableBytes()
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			MustNew(tc.cfg, m)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		allocs := (after.Mallocs - before.Mallocs) / runs
+		t.Logf("%s: New allocates %d bytes in %d allocations; tables hold %d bytes", tc.name, bytes, allocs, held)
+		if float64(bytes) > 1.25*float64(held) {
+			t.Errorf("%s: New allocates %d bytes, over 1.25x the %d bytes it keeps", tc.name, bytes, held)
+		}
+		if allocs > 40 {
+			t.Errorf("%s: New makes %d allocations, over 40", tc.name, allocs)
+		}
 	}
 }

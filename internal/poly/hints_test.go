@@ -1,11 +1,12 @@
 package poly
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
+	"polyecc/internal/dram"
 	"polyecc/internal/mac"
+	"polyecc/internal/residue"
 )
 
 // The map-based hint builders the packed tables replaced, kept as the
@@ -72,17 +73,17 @@ func oracleDedupe(table map[uint64][]pairHint) {
 
 // checkHintTable compares every remainder's bucket, in order, with the
 // oracle's, and checks the table is exact-size.
-func checkHintTable(t *testing.T, name string, M uint64, got *hintTable, want map[uint64][]pairHint) {
+func checkHintTable(t *testing.T, name string, M uint64, got runs[pairHint], want map[uint64][]pairHint) {
 	t.Helper()
-	if got == nil {
+	if got.idx == nil {
 		t.Fatalf("%s: no hint table built", name)
 	}
-	if len(got.idx) != int(M)+1 || got.idx[0] != 0 || int(got.idx[M]) != len(got.hints) || cap(got.hints) != len(got.hints) {
-		t.Fatalf("%s: table not exact-size: %d offsets, %d/%d hints", name, len(got.idx), len(got.hints), cap(got.hints))
+	if len(got.idx) != int(M)+1 || got.idx[0] != 0 || int(got.idx[M]) != len(got.items) || cap(got.items) != len(got.items) {
+		t.Fatalf("%s: table not exact-size: %d offsets, %d/%d hints", name, len(got.idx), len(got.items), cap(got.items))
 	}
 	total := 0
 	for rem := uint64(0); rem < M; rem++ {
-		b, w := got.bucket(rem), want[rem]
+		b, w := got.at(rem), want[rem]
 		total += len(w)
 		if len(b) == 0 && len(w) == 0 {
 			continue
@@ -91,14 +92,17 @@ func checkHintTable(t *testing.T, name string, M uint64, got *hintTable, want ma
 			t.Fatalf("%s rem %d:\n packed %v\n oracle %v", name, rem, b, w)
 		}
 	}
-	if total != len(got.hints) {
-		t.Fatalf("%s: %d packed hints, oracle has %d", name, len(got.hints), total)
+	if total != len(got.items) {
+		t.Fatalf("%s: %d packed hints, oracle has %d", name, len(got.items), total)
 	}
 }
 
 // TestHintTablesMatchMapBuilder holds the packed DEC and BF+BF tables
 // bucket for bucket, in order, to the map builder, for every registry
-// multiplier.
+// multiplier: on the enumerated copy of a fast code, which is the only
+// copy that holds hint tables, and directly on m131049, which decodes
+// by enumeration. The oracle dedupes and the builder does not, so the
+// match also shows these codes emit no duplicate hint.
 func TestHintTablesMatchMapBuilder(t *testing.T) {
 	codes := []struct {
 		name string
@@ -112,46 +116,74 @@ func TestHintTablesMatchMapBuilder(t *testing.T) {
 	}
 	for _, tc := range codes {
 		c := MustNew(tc.cfg, mac.MustSipHash(testKey, tc.bits))
+		if c.fast != nil {
+			if c.decHints.idx != nil || c.bfbfHints.idx != nil {
+				t.Fatalf("%s: a fast code holds hint tables", tc.name)
+			}
+			c = c.WithEnumeratedCandidates()
+		}
 		checkHintTable(t, tc.name+"/DEC", c.cfg.M, c.decHints, oracleDECHints(c))
 		if tc.cfg.Geometry.SymbolBits == 8 {
 			checkHintTable(t, tc.name+"/BF+BF", c.cfg.M, c.bfbfHints, oracleBFBFHints(c))
-		} else if c.bfbfHints != nil {
+		} else if c.bfbfHints.idx != nil {
 			t.Fatalf("%s: BF+BF table built for %d-bit symbols", tc.name, tc.cfg.Geometry.SymbolBits)
 		}
 	}
 }
 
-// TestHintTableDedupe feeds buildHintTable a stream with repeated hints
-// — pair-major like the real enumerators, but with duplicates the
-// admissible multipliers never produce — and holds it to the map
-// builder's set-based dedupe.
-func TestHintTableDedupe(t *testing.T) {
-	c := MustNew(ConfigM511(), mac.MustSipHash(testKey, 56))
-	r := rand.New(rand.NewSource(12))
-	type emitted struct {
-		rem uint64
-		h   pairHint
-	}
-	var stream []emitted
-	for sA := 0; sA < 10; sA++ {
-		for sB := sA + 1; sB < 10; sB++ {
-			for i := 0; i < 40; i++ {
-				stream = append(stream, emitted{uint64(r.Intn(7)) * 73,
-					pairHint{symA: int8(sA), symB: int8(sB), deltaB: int32(r.Intn(5) - 2)}})
+// TestPairDeltasDistinctModM proves the lemma that lets every table
+// builder skip deduplication. Two emissions of a pair enumerator share
+// (rem, sA, sB, dB) only if their first deltas satisfy dA·2^LA ≡ dA'·2^LA
+// (mod M); M is odd, so 2^LA is invertible and that means dA ≡ dA'
+// (mod M). So no duplicate exists if no two of a model's deltas are
+// congruent modulo any multiplier New accepts. For every symbol width
+// the DDR5 channel takes and each pair model's delta set, the test
+// checks every odd M from the smallest relaxed-admissible multiplier up
+// to the set's largest pairwise difference by brute force; above that, a
+// collision would need |d1−d2| ≥ M.
+func TestPairDeltasDistinctModM(t *testing.T) {
+	widths := 0
+	for S := 1; S <= 32; S++ {
+		if (dram.WordGeometry{SymbolBits: S}).Validate() != nil {
+			continue
+		}
+		widths++
+		g := residue.Geometry{NumSymbols: dram.Devices, SymbolBits: S}
+		minM := uint64(3)
+		for !residue.Admissible(minM, g, true) {
+			minM += 2
+		}
+		sets := map[string][]int64{"DEC": bitDeltas[:2*S]}
+		if S == 8 {
+			// New rejects BF+BF on any other width.
+			sets["BF+BF"] = nibbleDeltas
+		}
+		for model, deltas := range sets {
+			var maxDiff uint64
+			for i, d1 := range deltas {
+				for _, d2 := range deltas[:i] {
+					if d1 == d2 {
+						t.Fatalf("%d-bit %s: delta %d listed twice", S, model, d1)
+					}
+					maxDiff = max(maxDiff, uint64(max(d1-d2, d2-d1)))
+				}
 			}
+			checked := 0
+			for M := minM; M <= maxDiff; M += 2 {
+				checked++
+				for i, d1 := range deltas {
+					for _, d2 := range deltas[:i] {
+						if (d1-d2)%int64(M) == 0 {
+							t.Fatalf("%d-bit %s: deltas %d and %d collide mod %d", S, model, d1, d2, M)
+						}
+					}
+				}
+			}
+			t.Logf("%d-bit %s: %d deltas, smallest admissible M %d, largest difference %d, %d multipliers checked",
+				S, model, len(deltas), minM, maxDiff, checked)
 		}
 	}
-	enum := func(emit func(rem uint64, h pairHint)) {
-		for _, e := range stream {
-			emit(e.rem, e.h)
-		}
+	if widths < 3 {
+		t.Fatalf("only %d symbol widths checked; the DDR5 channel takes 4, 8 and 16", widths)
 	}
-	want := map[uint64][]pairHint{}
-	enum(func(rem uint64, h pairHint) { want[rem] = append(want[rem], h) })
-	oracleDedupe(want)
-	got := c.buildHintTable(enum)
-	if len(got.hints) >= len(stream) {
-		t.Fatalf("stream of %d hints kept %d: no duplicates removed", len(stream), len(got.hints))
-	}
-	checkHintTable(t, "dedupe", c.cfg.M, got, want)
 }

@@ -159,17 +159,16 @@ type Code struct {
 	dataBits int // data bits per codeword
 	macBits  int // MAC slice bits per codeword
 	words    int // codewords per cacheline
-	inv      []uint64
 	tab      *residue.Tables
 	models   []FaultModel
 
-	// decHints and bfbfHints are the DEC and BF+BF hint tables, nil when
-	// the model is not configured.
-	decHints, bfbfHints *hintTable
-
-	// fast holds the candidate-free correction tables (fast.go) when the
-	// configuration admits them; nil falls back to runtime enumeration.
-	fast *fastTables
+	// A code holds only the tables its decode reads. fast holds the
+	// candidate-free correction tables (fast.go) when the configuration
+	// admits them; otherwise fast is nil, the code decodes by runtime
+	// enumeration, and decHints and bfbfHints are the DEC and BF+BF hint
+	// tables it reads (unbuilt when the model is not configured).
+	fast                *fastTables
+	decHints, bfbfHints runs[pairHint]
 	// macInc is the MAC's incremental interface when it supports
 	// checkpointed recomputation and the data field is whole 8-byte
 	// blocks; nil keeps every trial on the full-line Sum.
@@ -252,20 +251,11 @@ func New(cfg Config, m mac.MAC) (*Code, error) {
 		dataBits: dataBits,
 		macBits:  macBits,
 		words:    words,
-		inv:      tab.Inv,
 		tab:      tab,
 		models:   models,
 	}
-	for _, fm := range models {
-		switch fm {
-		case ModelDEC:
-			c.decHints = c.buildHintTable(c.decHintEnum)
-		case ModelBFBF:
-			if g.SymbolBits != 8 {
-				return nil, fmt.Errorf("poly: BF+BF hints implemented for 8-bit symbols only")
-			}
-			c.bfbfHints = c.buildHintTable(c.bfbfHintEnum)
-		}
+	if c.pairEnum(ModelBFBF) != nil && g.SymbolBits != 8 {
+		return nil, fmt.Errorf("poly: BF+BF hints implemented for 8-bit symbols only")
 	}
 	c.loBits = uint(c.k + c.macBits)
 	c.macMask = uint64(1)<<uint(c.macBits) - 1
@@ -274,10 +264,13 @@ func New(cfg Config, m mac.MAC) (*Code, error) {
 	// Candidate-free fast path: invert the generators into per-remainder
 	// tables. Gated to strict small-M 8-bit-symbol codes where the tables
 	// stay small and every (remainder, symbol) has at most one Eq. 2
-	// solution; the ablation knobs keep the enumeration they study.
+	// solution; the ablation knobs keep the enumeration they study, over
+	// hint tables.
 	if !cfg.Relaxed && !cfg.DisablePrune && !cfg.NaturalOrder &&
 		g.SymbolBits <= 8 && cfg.M <= 1<<16 && int64(cfg.M) > 2*c.maxSym() {
 		c.fast = c.buildFastTables()
+	} else {
+		c.buildHintTables()
 	}
 	if inc, ok := m.(mac.Incremental); ok && c.dataBits%64 == 0 {
 		c.macInc = inc
@@ -328,14 +321,17 @@ func (c *Code) Words() int { return c.words }
 // Geometry returns the symbol geometry.
 func (c *Code) Geometry() residue.Geometry { return c.cfg.Geometry }
 
-// HintTableEntries returns the stored sub-entry count of a fault model's
-// hint table (0 when the model derives candidates purely at runtime).
-// Table VI's hint-storage rows are computed from these counts.
+// HintTableEntries returns the sub-entry count of a fault model's hint
+// table as the paper stores it, one per enumerated error (0 when the
+// model derives candidates purely at runtime). It counts from the
+// enumerator, so a code that keeps fast tables instead reports the same
+// count. Table VI's hint-storage rows are computed from these counts.
 func (c *Code) HintTableEntries(m FaultModel) int {
-	if t := c.hints(m); t != nil {
-		return len(t.hints)
+	n := 0
+	if enum := c.pairEnum(m); enum != nil {
+		enum(func(uint64, int, int, int64, int64) { n++ })
 	}
-	return 0
+	return n
 }
 
 // --- Codeword encode/decode -----------------------------------------------

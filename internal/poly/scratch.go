@@ -208,7 +208,7 @@ func (c *Code) DecodeLineScratch(l Line, s *Scratch) (data [LineBytes]byte, rep 
 }
 
 // WithMetrics returns a shallow copy of the Code that feeds m on every
-// decode. The copy shares the hint tables and inverse tables (immutable
+// decode. The copy shares the correction and residue tables (immutable
 // after New), so registry consumers can attach telemetry to a shared
 // Code without rebuilding it.
 func (c *Code) WithMetrics(m *telemetry.DecodeMetrics) *Code {
@@ -230,7 +230,7 @@ func (c *Code) WithTrace(f TraceFunc) *Code {
 
 // WithLatency returns a shallow copy of the Code that records every
 // encode/decode duration into p (nil detaches). Like WithMetrics, the
-// copy shares the hint tables, inverse tables, and scratch pool. The
+// copy shares the correction and residue tables and the scratch pool. The
 // probe follows the Scratch ownership rule — one goroutine; concurrent
 // workers each decode through their own fork (latency.Probe.Fork).
 func (c *Code) WithLatency(p *latency.Probe) *Code {
@@ -241,8 +241,8 @@ func (c *Code) WithLatency(p *latency.Probe) *Code {
 
 // WithMaxIterations returns a shallow copy of the Code with the per-line
 // trial cap replaced (0 removes the cap). Like WithMetrics, the copy
-// shares the hint tables, inverse tables, and scratch pool, so a soak
-// can bound an unbounded registry code without rebuilding it.
+// shares the correction and residue tables and the scratch pool, so a
+// soak can bound an unbounded registry code without rebuilding it.
 func (c *Code) WithMaxIterations(n int) *Code {
 	c2 := *c
 	c2.cfg.MaxIterations = n
@@ -253,8 +253,9 @@ func (c *Code) WithMaxIterations(n int) *Code {
 // run in the given fault-model order — the candidate-ordering hook the
 // adaptive memory controller drives to put the observed dominant error
 // family first. Every model must already be configured on the receiver:
-// the copy shares its hint tables, so a model whose hints were never
-// built cannot be introduced here.
+// the copy shares its correction tables, which hold candidates only for
+// the configured models, so a model whose tables were never built
+// cannot be introduced here.
 func (c *Code) WithModels(models []FaultModel) (*Code, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("poly: WithModels needs at least one model")

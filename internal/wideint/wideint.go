@@ -67,12 +67,6 @@ func (u U192) Sub(v U192) U192 {
 	return r
 }
 
-// AddUint64 returns u+v mod 2^192.
-func (u U192) AddUint64(v uint64) U192 { return u.Add(FromUint64(v)) }
-
-// SubUint64 returns u-v mod 2^192.
-func (u U192) SubUint64(v uint64) U192 { return u.Sub(FromUint64(v)) }
-
 // MulUint64 returns u*v mod 2^192.
 func (u U192) MulUint64(v uint64) U192 {
 	var r U192

@@ -3,9 +3,9 @@
 # snapshot future PRs are compared against; `make bench-gate` enforces
 # the perf contract on the hot paths: 0 allocs/op for encode, the
 # scratch entry points, the clean and corrected decodes (SSC, DEC,
-# BF+BF, batched tile), and the decodes with a journal subscriber or a
-# latency probe attached, the wire transpose and poly-m2005's clean
-# registry decode; absolute latency ceilings on the candidate-free fast
+# BF+BF, 32 lines through DecodeLines), and the decodes with a journal
+# subscriber or a latency probe attached, the wire transpose and
+# poly-m2005's clean registry decode; absolute latency ceilings on the candidate-free fast
 # path (clean decode <= 250 ns/op, corrected SSC <= 400 ns/op, encode
 # <= 200 ns/op) and on the wire and registry paths (wire/from-burst
 # <= 300 ns/op, codec/poly-m2005/decode-clean <= 1200 ns/op); metrics attachment
@@ -28,9 +28,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check build vet test race bench bench-snapshot bench-history bench-gate bench-compare fastpath-smoke smoke-campaign scrub-smoke report-smoke scenario-smoke health-smoke heal-smoke latency-smoke results-check
+.PHONY: ci fmt-check build vet test race perfbench-check bench bench-snapshot bench-history bench-gate bench-compare fastpath-smoke smoke-campaign scrub-smoke report-smoke scenario-smoke health-smoke heal-smoke latency-smoke results-check
 
-ci: fmt-check vet build race fastpath-smoke smoke-campaign scrub-smoke bench-gate report-smoke scenario-smoke health-smoke heal-smoke latency-smoke results-check
+ci: fmt-check vet build race perfbench-check fastpath-smoke smoke-campaign scrub-smoke bench-gate report-smoke scenario-smoke health-smoke heal-smoke latency-smoke results-check
 
 # Every results/ file that regenerates in seconds must match, byte for
 # byte, what the command EXPERIMENTS.md gives for it prints today (the
@@ -100,6 +100,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# perfbench is its own module, so `go build ./...` never compiles it:
+# vet and test it here, or a change that removes an API it calls or
+# moves the figures its tests pin would pass every other target.
+perfbench-check:
+	$(GO) -C perfbench vet . && $(GO) -C perfbench test .
+
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
@@ -130,12 +136,13 @@ smoke-campaign:
 	@rm -f $(SMOKE_CKPT)
 	@echo "smoke-campaign: checkpoint/resume round trip OK"
 
-# Short batched-decode campaign: a journal-free patrol over a faulted
-# region runs the poly.DecodeLines sweep path end to end (the journaled
-# per-line path is covered by report-smoke).
+# Short patrol campaign: a journal-free scrubber over a faulted region
+# runs Scrubber.Sweep end to end, every line through DecodeLineScratch
+# (the journaled sweep runs the same loop; report-smoke covers the
+# journal).
 scrub-smoke:
 	$(GO) run ./examples/scrubber -lines 256 -sweeps 3 -interval 0 -seed 11 >/dev/null
-	@echo "scrub-smoke: batched patrol sweep OK"
+	@echo "scrub-smoke: patrol sweep OK"
 
 # Tiny end-to-end forensics run: a journaled soak, then eccreport over
 # every artifact it leaves, asserting the journal parses as JSONL (the

@@ -10,11 +10,11 @@
 // if any regresses — `make bench-gate` wires this into `make ci`:
 //
 //   - allocation: encode (EncodeLineInto), the scratch entry points, the
-//     clean and corrected decodes (SSC, DEC, BF+BF, and the batched
-//     tile), the clean decode with a journal subscriber attached (the
-//     live health engine's tap), both decodes with a latency probe
-//     attached, the wire transpose, and poly-m2005's clean registry
-//     decode must all run at 0 allocs/op;
+//     clean and corrected decodes (SSC, DEC, BF+BF, and 32 lines
+//     through DecodeLines), the clean decode with a journal subscriber
+//     attached (the live health engine's tap), both decodes with a
+//     latency probe attached, the wire transpose, and poly-m2005's
+//     clean registry decode must all run at 0 allocs/op;
 //   - latency ceilings: the candidate-free fast path is pinned to
 //     absolute budgets — clean decode ≤ 250 ns/op, corrected SSC
 //     ≤ 400 ns/op, encode ≤ 200 ns/op — and so are the wire layer and
@@ -263,9 +263,9 @@ func main() {
 	jrec := poly.NewAnomalyRecorder(jour, "benchsnap", bare)
 	jcode := jrec.Code()
 	jscratch := jcode.NewScratch()
-	// batchLines is the decode-batch32/corrected input: a scrub-shaped
-	// tile of 32 lines with one SSC fault per 8 lines, so the gate covers
-	// the batched remainder prepass handing off to the corrector.
+	// batchLines is the decode-batch32/corrected input: 32 lines with one
+	// SSC fault per 8 lines, so the gate covers DecodeLines' per-line loop
+	// passing corrected lines between clean ones through one Scratch.
 	batchLines := make([]polyecc.Line, 32)
 	for i := range batchLines {
 		if i%8 == 3 {
@@ -391,8 +391,8 @@ func main() {
 			fn: decodeBench(bare, badBFBF, false)},
 		{name: "decode-batch32/corrected", allocFree: true, latency: true,
 			fn: func(b *testing.B) {
-				// One op is a 32-line batch with 4 SSC faults; ns/op is per
-				// batch.
+				// One op is 32 lines with 4 SSC faults; ns/op is per 32
+				// lines.
 				results := make([]polyecc.Result, 0, len(batchLines))
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -442,8 +442,8 @@ func main() {
 	}{
 		{"decode/corrected-ssc+metrics", decodeBench(instrumented, bad, false)},
 		{"decode-batch32/clean", func(b *testing.B) {
-			// One op is a 32-line batch through DecodeLines — the scrubber's
-			// steady state. ns/op is per batch.
+			// One op is 32 clean lines through DecodeLines, which decodes
+			// each with DecodeLineScratch. ns/op is per 32 lines.
 			lines := make([]polyecc.Line, 32)
 			for i := range lines {
 				lines[i] = clean.Clone()

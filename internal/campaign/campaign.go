@@ -14,7 +14,7 @@
 //   - Progress is checkpointed periodically to an atomic JSON file
 //     (temp file + rename); a resumed campaign skips exactly the trials
 //     the checkpoint accounts for and reproduces the uninterrupted run.
-//   - A panicking trial is recovered, counted under Config.PanicLabel,
+//   - A panicking trial is recovered, counted under PanicLabel,
 //     and the campaign continues — one bad cacheline cannot kill a week
 //     of compute.
 //   - Context cancellation (SIGINT, -timeout) drains gracefully: workers
@@ -40,8 +40,13 @@ import (
 // TrialFunc runs one trial. It must derive all randomness from t.RNG and
 // report outcomes through t.Record/t.Add; under those two rules a
 // campaign is reproducible and resumable. A panic inside the function is
-// recovered by the runner and counted as Config.PanicLabel.
+// recovered by the runner and counted as PanicLabel.
 type TrialFunc func(t *Trial)
+
+// PanicLabel is the outcome label of a recovered trial panic. A
+// panicked trial contributes exactly one count of it and nothing else,
+// so reruns stay deterministic.
+const PanicLabel = "panic"
 
 // Trial is one unit of campaign work.
 type Trial struct {
@@ -106,10 +111,6 @@ type Config struct {
 	// accounts for. The checkpoint must match Name, Seed, Trials, and
 	// Shards exactly.
 	Resume bool
-	// PanicLabel is the outcome label for recovered trial panics
-	// (default "panic"). A panicked trial contributes exactly one count
-	// of this label and nothing else, so reruns stay deterministic.
-	PanicLabel string
 	// WorkerState, when set, is invoked once per worker goroutine; its
 	// return value is handed to every trial that worker runs via
 	// Trial.Local. Trial outcomes must not depend on the state's history
@@ -152,9 +153,6 @@ func (cfg *Config) applyDefaults() {
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1000
-	}
-	if cfg.PanicLabel == "" {
-		cfg.PanicLabel = "panic"
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -330,11 +328,11 @@ func (st *state) result(cfg *Config, skipped int, elapsed time.Duration) Result 
 // safeTrial runs fn with panic isolation. A panicked trial's partial
 // outcome records are discarded so it contributes exactly one
 // PanicLabel count — keeping reruns bit-identical.
-func safeTrial(fn TrialFunc, t *Trial, panicLabel string, logger *slog.Logger) (panicked bool) {
+func safeTrial(fn TrialFunc, t *Trial, logger *slog.Logger) (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
-			t.adds = map[string]int64{panicLabel: 1}
+			t.adds = map[string]int64{PanicLabel: 1}
 			logger.Warn("campaign trial panicked; counted and continuing",
 				"trial", t.Index, "shard", t.Shard, "panic", fmt.Sprint(r))
 		}
@@ -388,7 +386,7 @@ func runShard(ctx context.Context, cfg *Config, fn TrialFunc, st *state, worker,
 		if journaled {
 			trialStart = time.Now()
 		}
-		panicked := safeTrial(fn, t, cfg.PanicLabel, cfg.Logger)
+		panicked := safeTrial(fn, t, cfg.Logger)
 		st.commit(cfg, shard, t.adds, panicked)
 		ran++
 		if !journaled {
@@ -396,7 +394,7 @@ func runShard(ctx context.Context, cfg *Config, fn TrialFunc, st *state, worker,
 		}
 		outcome := ""
 		if panicked {
-			outcome = cfg.PanicLabel
+			outcome = PanicLabel
 		} else {
 			outcome = journalOutcome(cfg.JournalOutcomes, t.adds)
 		}

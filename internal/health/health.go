@@ -74,8 +74,6 @@ type Config struct {
 	BucketNs          int64
 	WindowBuckets     int
 	FastWindowBuckets int
-	// EWMAAlpha weights the per-bucket EWMA fold (default 0.3).
-	EWMAAlpha float64
 
 	// RegionLines is the address-bucketing granularity of the heatmap
 	// (default 64 lines per region); RowLines the lines per DRAM row used
@@ -85,27 +83,20 @@ type Config struct {
 	RowLines    int
 	MaxRegions  int
 
-	// RecentCap bounds the hit ring the signature classifier scans
-	// (default 4096). RowhammerMin / RepeatMin / ScrubRepeatMin are the
-	// evidence floors of the three signatures (defaults 16 / 8 / 4).
-	RecentCap      int
+	// RowhammerMin / RepeatMin / ScrubRepeatMin are the evidence floors
+	// of the three signatures (defaults 16 / 8 / 4).
 	RowhammerMin   int
 	RepeatMin      int
 	ScrubRepeatMin int
 
 	// SLO budgets in sustainable events/sec (defaults: corrected 0.5,
 	// DUE 0.05, SDC 0.005 — SDC a hundred times scarcer than routine
-	// correction), and the burn-rate thresholds (warn 2x, page 10x) with
-	// the downgrade hold-down in calm evaluations (default 3).
+	// correction), and the downgrade hold-down in calm evaluations
+	// (default 3). The burn-rate thresholds are warnBurn and pageBurn.
 	BudgetCorrected float64
 	BudgetDUE       float64
 	BudgetSDC       float64
-	WarnBurn        float64
-	PageBurn        float64
 	HoldDown        int
-
-	// MaxAlerts bounds the retained alert timeline (default 128).
-	MaxAlerts int
 
 	// WallClock makes VitalSigns/RegionsPayload evaluate at the machine
 	// clock rather than the newest event time — set it on live servers so
@@ -118,11 +109,25 @@ type Config struct {
 	// are never silent. The engine skips its own eviction events when it
 	// observes them back through a subscription.
 	Journal *telemetry.Journal
-
-	// SubscriptionCap is the journal subscription ring size used by
-	// Start (default 8192).
-	SubscriptionCap int
 }
+
+// Fixed engine parameters.
+const (
+	// ewmaAlpha weights the per-bucket EWMA fold.
+	ewmaAlpha = 0.3
+	// recentCap bounds the hit ring the signature classifier scans.
+	recentCap = 4096
+	// warnBurn and pageBurn are the SLO burn-rate thresholds: a class
+	// warns when both windows burn its budget 2x over and pages at 10x.
+	warnBurn = 2
+	pageBurn = 10
+	// maxAlerts bounds the retained alert timeline.
+	maxAlerts = 128
+)
+
+// SubscriptionCap is the journal subscription ring size Start uses, and
+// memctl's Controller.Start with it.
+const SubscriptionCap = 8192
 
 func (c Config) withDefaults() Config {
 	def := func(v *int64, d int64) {
@@ -143,22 +148,16 @@ func (c Config) withDefaults() Config {
 	def(&c.BucketNs, int64(time.Second))
 	defi(&c.WindowBuckets, 60)
 	defi(&c.FastWindowBuckets, 5)
-	deff(&c.EWMAAlpha, 0.3)
 	defi(&c.RegionLines, 64)
 	defi(&c.RowLines, 8)
 	defi(&c.MaxRegions, 4096)
-	defi(&c.RecentCap, 4096)
 	defi(&c.RowhammerMin, 16)
 	defi(&c.RepeatMin, 8)
 	defi(&c.ScrubRepeatMin, 4)
 	deff(&c.BudgetCorrected, 0.5)
 	deff(&c.BudgetDUE, 0.05)
 	deff(&c.BudgetSDC, 0.005)
-	deff(&c.WarnBurn, 2)
-	deff(&c.PageBurn, 10)
 	defi(&c.HoldDown, 3)
-	defi(&c.MaxAlerts, 128)
-	defi(&c.SubscriptionCap, 8192)
 	return c
 }
 
@@ -262,12 +261,12 @@ func New(cfg Config) *Engine {
 		cfg:            cfg,
 		models:         map[string]int64{},
 		regions:        map[int]*regionStat{},
-		recent:         newHitRing(cfg.RecentCap),
+		recent:         newHitRing(recentCap),
 		active:         map[string]Signature{},
 		anomalySources: map[string]bool{},
 	}
 	for c := Class(0); c < numClasses; c++ {
-		e.classes[c] = newWindow(cfg.BucketNs, cfg.WindowBuckets, cfg.EWMAAlpha)
+		e.classes[c] = newWindow(cfg.BucketNs, cfg.WindowBuckets, ewmaAlpha)
 	}
 	for _, s := range []struct {
 		class  Class
@@ -301,7 +300,7 @@ func (e *Engine) Publish(prefix string) {
 // the subscription one last time before returning). A nil or disabled
 // journal yields a no-op stop.
 func (e *Engine) Start(j *telemetry.Journal) (stop func()) {
-	sub := j.Subscribe(e.cfg.SubscriptionCap)
+	sub := j.Subscribe(SubscriptionCap)
 	if sub != nil {
 		e.mu.Lock()
 		e.sub = sub
@@ -427,7 +426,7 @@ func (e *Engine) observeRegion(class Class, line int, tNs int64) {
 			e.evictRegionLocked(tNs)
 		}
 		rs = &regionStat{
-			errWin:  newWindow(e.cfg.BucketNs, e.cfg.WindowBuckets, e.cfg.EWMAAlpha),
+			errWin:  newWindow(e.cfg.BucketNs, e.cfg.WindowBuckets, ewmaAlpha),
 			firstNs: tNs,
 		}
 		e.regions[region] = rs
@@ -532,7 +531,7 @@ func itoa(n int) string {
 func (e *Engine) pushAlertLocked(a Alert) {
 	e.metrics.Alerts.Add(a.Severity, 1)
 	e.alerts = append(e.alerts, a)
-	if over := len(e.alerts) - e.cfg.MaxAlerts; over > 0 {
+	if over := len(e.alerts) - maxAlerts; over > 0 {
 		e.alerts = append(e.alerts[:0], e.alerts[over:]...)
 	}
 }

@@ -86,10 +86,10 @@ func (t *sloTracker) burns(nowNs int64, fastBuckets, slowBuckets int) (fast, slo
 func (t *sloTracker) eval(nowNs int64, cfg *Config, evals int) *Alert {
 	fast, slow := t.burns(nowNs, cfg.FastWindowBuckets, cfg.WindowBuckets)
 	target := StateOK
-	if fast >= cfg.WarnBurn && slow >= cfg.WarnBurn {
+	if fast >= warnBurn && slow >= warnBurn {
 		target = StateWarn
 	}
-	if fast >= cfg.PageBurn && slow >= cfg.PageBurn {
+	if fast >= pageBurn && slow >= pageBurn {
 		target = StatePage
 	}
 	switch {

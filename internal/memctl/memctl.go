@@ -61,9 +61,6 @@ type Config struct {
 	// retired instead (default 2, so the worst flapper costs
 	// quarantine, release, quarantine, release, retire).
 	MaxRequarantine int
-	// PageLines is the retirement granularity in lines (default:
-	// Health.RegionLines).
-	PageLines int
 
 	// ScrubBase is the patrol pause at level 0 (default 1m); each
 	// escalation halves it down to ScrubMin (default 1s), bounded by
@@ -102,10 +99,9 @@ func (c Config) withDefaults() Config {
 	defi(&c.DUEWeight, 3)
 	defi(&c.ReleaseCalm, 8)
 	defi(&c.MaxRequarantine, 2)
-	if c.PageLines <= 0 {
-		c.PageLines = c.Health.RegionLines
-		defi(&c.PageLines, 64)
-	}
+	// Pages are the health engine's regions: a retired page is one
+	// heatmap region (default 64 lines).
+	defi(&c.Health.RegionLines, 64)
 	if c.ScrubBase <= 0 {
 		c.ScrubBase = time.Minute
 	}
@@ -237,11 +233,7 @@ func (c *Controller) RegionsPayload() any { return c.engine.RegionsPayload() }
 // goroutine until the returned stop function is called (final drain
 // included). A nil or disabled journal yields a no-op stop.
 func (c *Controller) Start(j *telemetry.Journal) (stop func()) {
-	capacity := c.cfg.Health.SubscriptionCap
-	if capacity <= 0 {
-		capacity = 8192
-	}
-	return j.Subscribe(capacity).Run(c.ObserveAll)
+	return j.Subscribe(health.SubscriptionCap).Run(c.ObserveAll)
 }
 
 // ObserveAll feeds a batch of events through Observe.
@@ -304,7 +296,7 @@ func (c *Controller) Tick(nowNs int64) {
 // noteLineLocked advances one line's quarantine state machine on an
 // error observation.
 func (c *Controller) noteLineLocked(class health.Class, line int, tNs int64) {
-	if c.retired[line/c.cfg.PageLines] {
+	if c.retired[line/c.cfg.Health.RegionLines] {
 		return
 	}
 	ls := c.lines[line]
@@ -328,7 +320,7 @@ func (c *Controller) noteLineLocked(class health.Class, line int, tNs int64) {
 		return
 	}
 	if ls.strikes >= c.cfg.MaxRequarantine {
-		page := line / c.cfg.PageLines
+		page := line / c.cfg.Health.RegionLines
 		c.retired[page] = true
 		c.metrics.Retired.Set(int64(len(c.retired)))
 		c.emitLocked(Action{
@@ -561,7 +553,7 @@ func (c *Controller) Models() []poly.FaultModel {
 func (c *Controller) Blocked(line int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.retired[line/c.cfg.PageLines] {
+	if c.retired[line/c.cfg.Health.RegionLines] {
 		return true
 	}
 	ls := c.lines[line]

@@ -134,3 +134,50 @@ func TestDecodeLinesPanicIsolation(t *testing.T) {
 		t.Fatalf("poisoned line index %d, want 1", results[1].Index)
 	}
 }
+
+// TestDecodeRejectsWrongWordCount feeds lines with too few or too many
+// codewords to both decode entry points. DecodeLineScratch must panic
+// even right after a good line, whose bytes a short line would
+// otherwise inherit from the Scratch; DecodeLines must turn each into
+// that line's Err and leave its neighbours decoded.
+func TestDecodeRejectsWrongWordCount(t *testing.T) {
+	c := MustNew(ConfigM2005(), mac.MustSipHash(testKey, 40))
+	s := c.NewScratch()
+	var data [LineBytes]byte
+	for i := range data {
+		data[i] = byte(i*13 + 5)
+	}
+	good := c.EncodeLine(&data)
+	malformed := map[string]Line{
+		"empty":     {},
+		"short":     {Words: good.Clone().Words[:c.Words()-1]},
+		"oversized": {Words: append(good.Clone().Words, wideint.U192{})},
+	}
+	for name, bad := range malformed {
+		t.Run(name, func(t *testing.T) {
+			if _, rep := c.DecodeLineScratch(good, s); rep.Status != StatusClean {
+				t.Fatalf("good line decoded %v", rep.Status)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("DecodeLineScratch accepted a %d-codeword line", len(bad.Words))
+					}
+				}()
+				c.DecodeLineScratch(bad, s)
+			}()
+			results := c.DecodeLines(nil, []Line{good, bad, good}, s)
+			if len(results) != 3 {
+				t.Fatalf("got %d results, want 3", len(results))
+			}
+			if results[1].Err == nil || results[1].Index != 1 {
+				t.Fatalf("malformed line: Err %v at index %d, want an error at index 1", results[1].Err, results[1].Index)
+			}
+			for _, i := range []int{0, 2} {
+				if results[i].Err != nil || results[i].Report.Status != StatusClean || results[i].Data != data {
+					t.Fatalf("line %d: %+v, want a clean decode of the good line", i, results[i])
+				}
+			}
+		})
+	}
+}

@@ -79,23 +79,13 @@ func (c *Code) DecodeLine(l Line) ([LineBytes]byte, Report) {
 	return data, rep
 }
 
-// decodeLine is the uninstrumented decode path. Every buffer it and the
-// corrector below touch lives in s. When s.remsPrimed is set the
-// remainder scan is skipped — DecodeLines' tile prepass has already
-// batch-folded every codeword's remainder into s.rems.
+// decodeLine is the uninstrumented decode path for a line of Words()
+// codewords. Every buffer it and the corrector below touch lives in s.
 func (c *Code) decodeLine(l Line, s *Scratch) ([LineBytes]byte, Report) {
+	// The batch fold's unrolled 80-bit path beats per-word Remainder
+	// calls even for a single line's eight codewords.
 	rems := s.rems
-	if s.remsPrimed {
-		s.remsPrimed = false
-	} else if len(l.Words) <= len(rems) {
-		// The batch fold's unrolled 80-bit path beats per-word Remainder
-		// calls even for a single line's eight codewords.
-		c.tab.RemainderBatch(rems[:len(l.Words)], l.Words)
-	} else {
-		for i, w := range l.Words {
-			rems[i] = c.Remainder(w)
-		}
-	}
+	c.tab.RemainderBatch(rems, l.Words)
 	corrupted := s.corrupt[:0]
 	for i := range l.Words {
 		if rems[i] != 0 {

@@ -279,12 +279,6 @@ func goldenDecodePaths(code *Code) []decodePath {
 			b := code.ToBurst(l)
 			return code.DecodeLineScratch(code.FromBurstScratch(&b, scratch), scratch)
 		}},
-		// The batched sweep path: one-line batch through DecodeLines must
-		// reproduce the single-line decode bit for bit.
-		{"batched", func(l Line) ([LineBytes]byte, Report) {
-			res := code.DecodeLines(make([]Result, 0, 1), []Line{l}, scratch)
-			return res[0].Data, res[0].Report
-		}},
 	}
 }
 

@@ -432,8 +432,8 @@ func (c *Code) encodeLineInto(dst *Line, data *[LineBytes]byte) {
 
 // encodeWords fills out with the encoded codewords of one cacheline.
 // The fastField path assembles every payload with single-limb shifts,
-// folds all remainders in one batch pass, and splices the check bits in
-// place — the encode-side counterpart of the decode prepass.
+// folds all remainders in one batch pass (the fold decodeLine runs on a
+// received line), and splices the check bits in place.
 func (c *Code) encodeWords(out []wideint.U192, data *[LineBytes]byte, tag uint64) {
 	if c.fastField && c.words <= 8 {
 		lo, hi, k := c.loBits, 64-c.loBits, uint(c.k)
@@ -546,12 +546,22 @@ func (c *Code) ToBurst(l Line) dram.Burst {
 	return b
 }
 
-// FromBurst reads an encoded line off the wire.
+// FromBurst reads an encoded line off the wire into a fresh Line.
 func (c *Code) FromBurst(b *dram.Burst) Line {
-	g := dram.WordGeometry{SymbolBits: c.cfg.Geometry.SymbolBits}
-	words := make([]wideint.U192, c.words)
-	for w := range words {
-		words[w] = g.Word(b, w)
+	return c.FromBurstInto(nil, b)
+}
+
+// FromBurstInto reads a line's codewords off the wire into dst (reused
+// when it has capacity). FromBurst and FromBurstScratch read through it;
+// callers that keep their own Line buffers call it directly.
+func (c *Code) FromBurstInto(dst []wideint.U192, b *dram.Burst) Line {
+	if cap(dst) < c.words {
+		dst = make([]wideint.U192, c.words)
 	}
-	return Line{Words: words}
+	dst = dst[:c.words]
+	g := dram.WordGeometry{SymbolBits: c.cfg.Geometry.SymbolBits}
+	for w := range dst {
+		dst[w] = g.Word(b, w)
+	}
+	return Line{Words: dst}
 }

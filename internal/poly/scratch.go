@@ -42,14 +42,6 @@ type Scratch struct {
 	macState mac.IncState
 	macSaved bool
 
-	// Batch-decode tile buffers: DecodeLines gathers a tile's codewords
-	// flat into tileWords and folds their remainders into tileRems in
-	// one pass (residue.Tables.RemainderBatch). remsPrimed tells the
-	// next decodeLine that s.rems is already filled from the prepass.
-	tileWords  []wideint.U192
-	tileRems   []uint64
-	remsPrimed bool
-
 	// Correction working state: work/workEmbedded hold the assembled
 	// bytes and embedded MAC of the trial line, kept current by patching
 	// only the codewords a candidate touches (patchWord) and reverting
@@ -133,9 +125,6 @@ func (c *Code) NewScratch() *Scratch {
 		applied:  make([][]wideint.U192, c.words),
 		usable:   make([][]bool, c.words),
 		sym:      make([]residue.Candidate, 0, 2*c.cfg.Geometry.NumSymbols),
-
-		tileWords: make([]wideint.U192, 0, batchTile*c.words),
-		tileRems:  make([]uint64, batchTile*c.words),
 	}
 	for i := range s.allDims {
 		s.allDims[i] = i
@@ -172,11 +161,7 @@ func (c *Code) EncodeLineScratch(data *[LineBytes]byte, s *Scratch) Line {
 // on s. Decoding the returned Line with the same Scratch is safe.
 func (c *Code) FromBurstScratch(b *dram.Burst, s *Scratch) Line {
 	c.checkScratch(s)
-	g := dram.WordGeometry{SymbolBits: c.cfg.Geometry.SymbolBits}
-	for w := range s.dec {
-		s.dec[w] = g.Word(b, w)
-	}
-	return Line{Words: s.dec}
+	return c.FromBurstInto(s.dec, b)
 }
 
 // DecodeLineScratch is DecodeLine running entirely inside s: clean
@@ -188,8 +173,14 @@ func (c *Code) FromBurstScratch(b *dram.Burst, s *Scratch) Line {
 // attached every decode is timed into the probe under its outcome class
 // and stamped in Report.Elapsed; without one Elapsed stays zero, however
 // many counters or trace hooks ride the decode.
+//
+// A line whose codeword count is not Words() panics: decoding it would
+// assemble the previous line's bytes left in s into the result.
 func (c *Code) DecodeLineScratch(l Line, s *Scratch) (data [LineBytes]byte, rep Report) {
 	c.checkScratch(s)
+	if len(l.Words) != c.words {
+		panic(fmt.Sprintf("poly: line has %d codewords, this Code decodes %d", len(l.Words), c.words))
+	}
 	if c.cfg.Latency == nil {
 		data, rep = c.decodeLine(l, s)
 		if c.cfg.Metrics != nil {

@@ -128,16 +128,17 @@ func (t *Tables) Remainder(u wideint.U192) uint64 {
 	return acc % t.M
 }
 
-// RemainderBatch is Remainder over a batch of codewords — the decode
-// prepass DecodeLines runs per tile. The fold tables a batch touches
-// (one 2KB column per codeword byte) are L1-resident, so the win over
-// calling Remainder per word is not cache blocking but straight-line
-// folding: the 80-bit layout's ten lookups run fully unrolled with the
-// limb-size and reduction branches hoisted out of the word loop, and a
-// tree of register adds replaces foldLimb's per-limb dispatch. (A
-// column-major bit-sliced walk was measured 2.3x slower here: it trades
-// register accumulation for a dst load+store per column.) dst[i]
-// receives words[i] mod M; dst and words must have equal length.
+// RemainderBatch is Remainder over a batch of codewords: a line's
+// codewords, folded once per poly decode and fast encode. The fold
+// tables a batch touches (one 2KB column per codeword byte) are
+// L1-resident, so the win over calling Remainder per word is not cache
+// blocking but straight-line folding: the 80-bit layout's ten lookups
+// run fully unrolled with the limb-size and reduction branches hoisted
+// out of the word loop, and a tree of register adds replaces foldLimb's
+// per-limb dispatch. (A column-major bit-sliced walk was measured 2.3x
+// slower here: it trades register accumulation for a dst load+store per
+// column.) dst[i] receives words[i] mod M; dst and words must have
+// equal length.
 func (t *Tables) RemainderBatch(dst []uint64, words []wideint.U192) {
 	dst = dst[:len(words)]
 	if !t.folded {

@@ -565,7 +565,7 @@ func runCampaign(ctx context.Context, p *plan, opts Opts) (*Result, error) {
 		return nil, err
 	}
 	lat := newRunLat(s, opts, p)
-	cfg := opts.config(s.Name, s.Trials, s.Seed, "sdc", "due", "panic")
+	cfg := opts.config(s.Name, s.Trials, s.Seed, "sdc", "due", campaign.PanicLabel)
 	cfg.WorkerState = func() any {
 		wl := lat.worker(p)
 		wcode := code

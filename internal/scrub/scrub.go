@@ -88,21 +88,9 @@ type Scrubber struct {
 	rec     *poly.AnomalyRecorder
 	buf     [poly.LineBytes]byte
 
-	// Batch arena for journal-free sweeps (see sweepBatched): one burst
-	// and one Line per batch slot plus the shared results buffer, all
-	// reused sweep over sweep.
-	bursts  []dram.Burst
-	lines   []poly.Line
-	results []poly.Result
-
 	totalCorrected int
 	totalDUE       int
 }
-
-// scrubBatch is the lines-per-batch granularity of journal-free sweeps:
-// the batch is read off the store, decoded through poly.DecodeLines with
-// one warm Scratch, then classified. Cancellation is checked per batch.
-const scrubBatch = 32
 
 // New builds a scrubber. With Policy.Journal set, the scrubber decodes
 // through an AnomalyRecorder so every finding carries its candidate
@@ -149,9 +137,6 @@ func (s *Scrubber) Sweep() (Stats, []Event) {
 // re-provision; rewriting a decode that failed would launder a detected
 // error into silent corruption.
 func (s *Scrubber) SweepContext(ctx context.Context) (Stats, []Event, error) {
-	if !s.policy.Journal.Enabled() {
-		return s.sweepBatched(ctx)
-	}
 	st := Stats{PerModel: make(map[poly.FaultModel]int)}
 	var events []Event
 	for i := 0; i < s.store.Lines(); i++ {
@@ -167,47 +152,6 @@ func (s *Scrubber) SweepContext(ctx context.Context) (Stats, []Event, error) {
 			Index: i,
 		}, "", false)
 		s.classify(i, s.buf, rep, &st, &events)
-	}
-	return st, events, nil
-}
-
-// sweepBatched is SweepContext over poly.DecodeLines: lines are read and
-// decoded scrubBatch at a time, so the patrol's steady state is batched
-// MAC checks over warm buffers instead of one virtual call per line. A
-// journaling scrubber cannot take this path — the AnomalyRecorder's
-// trace trail is accumulated per decode and must be recorded before the
-// next line runs — so SweepContext falls back to the per-line loop.
-func (s *Scrubber) sweepBatched(ctx context.Context) (Stats, []Event, error) {
-	st := Stats{PerModel: make(map[poly.FaultModel]int)}
-	var events []Event
-	if s.bursts == nil {
-		s.bursts = make([]dram.Burst, scrubBatch)
-		s.lines = make([]poly.Line, scrubBatch)
-		s.results = make([]poly.Result, 0, scrubBatch)
-	}
-	n := s.store.Lines()
-	for lo := 0; lo < n; lo += scrubBatch {
-		if err := ctx.Err(); err != nil {
-			return st, events, err
-		}
-		hi := lo + scrubBatch
-		if hi > n {
-			hi = n
-		}
-		for j := 0; j < hi-lo; j++ {
-			s.bursts[j] = s.store.ReadBurst(lo + j)
-			s.lines[j] = s.code.FromBurstInto(s.lines[j].Words, &s.bursts[j])
-		}
-		s.results = s.code.DecodeLines(s.results[:0], s.lines[:hi-lo], s.scratch)
-		for j := range s.results {
-			res := &s.results[j]
-			if res.Err != nil {
-				// A decode that failed outright detected an error it could
-				// not resolve: count it as a DUE, never write it back.
-				res.Report.Status = poly.StatusUncorrectable
-			}
-			s.classify(lo+j, res.Data, res.Report, &st, &events)
-		}
 	}
 	return st, events, nil
 }

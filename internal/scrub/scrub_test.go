@@ -3,6 +3,7 @@ package scrub
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -200,15 +201,22 @@ func TestRunPatrolsUntilCancelled(t *testing.T) {
 	}
 }
 
-// recordingStore counts write-backs per line so tests can prove which
-// lines the scrubber touched.
+// recordingStore counts write-backs per line and logs them in order, so
+// tests can prove which lines the scrubber touched and with what.
 type recordingStore struct {
 	*dram.Module
 	writes map[int]int
+	log    []writeBack
+}
+
+type writeBack struct {
+	line  int
+	burst dram.Burst
 }
 
 func (r *recordingStore) WriteBurst(i int, b dram.Burst) {
 	r.writes[i]++
+	r.log = append(r.log, writeBack{i, b})
 	r.Module.WriteBurst(i, b)
 }
 
@@ -255,6 +263,64 @@ func TestRunNeverWritesBackDUE(t *testing.T) {
 		if !corrected[line] && store.writes[line] > 0 {
 			t.Fatalf("DUE-only line %d was written back", line)
 		}
+	}
+}
+
+// Attaching a journal must not change what a patrol does: two identical
+// faulted modules, one patrolled with a journal and one without, must
+// give the same statistics, the same events and the same write-backs,
+// sweep after sweep.
+func TestJournalDoesNotChangeSweep(t *testing.T) {
+	type patrol struct {
+		stats  []Stats
+		events [][]Event
+		writes []writeBack
+	}
+	run := func(j *telemetry.Journal) patrol {
+		code, mod, _ := setup(t, 64)
+		for _, c := range [][3]int{{3, 2, 17}, {9, 0, 0}, {40, 15, 39}, {41, 7, 8}, {41, 7, 9}} {
+			if err := mod.AddWeakCell(c[0], c[1], c[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mod.Hammer(22, 12, rand.New(rand.NewSource(5)))
+		mod.Hammer(57, 12, rand.New(rand.NewSource(6)))
+		store := &recordingStore{Module: mod, writes: map[int]int{}}
+		policy := DefaultPolicy()
+		policy.Journal = j
+		s, err := New(code, store, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p patrol
+		for sweep := 0; sweep < 2; sweep++ {
+			st, events := s.Sweep()
+			p.stats = append(p.stats, st)
+			p.events = append(p.events, events)
+		}
+		p.writes = store.log
+		return p
+	}
+	bare := run(nil)
+	journal := telemetry.NewJournal(256)
+	journaled := run(journal)
+	if st := bare.stats[0]; st.Clean == 0 || st.Corrected == 0 || st.DUE == 0 {
+		t.Fatalf("first sweep %+v does not cover clean, corrected and DUE lines", st)
+	}
+	if len(bare.writes) == 0 {
+		t.Fatal("no corrected line was written back")
+	}
+	if journal.Len() == 0 {
+		t.Fatal("the journaled patrol recorded no finding")
+	}
+	if !reflect.DeepEqual(bare.stats, journaled.stats) {
+		t.Errorf("stats: without journal %+v, with %+v", bare.stats, journaled.stats)
+	}
+	if !reflect.DeepEqual(bare.events, journaled.events) {
+		t.Errorf("events differ:\n without journal %+v\n with %+v", bare.events, journaled.events)
+	}
+	if !reflect.DeepEqual(bare.writes, journaled.writes) {
+		t.Errorf("write-backs differ: %d without journal, %d with", len(bare.writes), len(journaled.writes))
 	}
 }
 
